@@ -339,11 +339,11 @@ main()
             enc.encodeBits(bits_in, bits_rows, scratch);
         });
         double bits_taped = measureCycles(3, [&] {
-            enc.encodeBitsTape(bits_in, bits_rows, tape);
+            enc.encodeBitsTape(bits_in, bits_rows, tape, pool);
         });
         LpnEncoder::setKernel(LpnKernel::Scalar);
         double bits_scalar = measureCycles(3, [&] {
-            enc.encodeBitsTape(bits_in, bits_rows, tape);
+            enc.encodeBitsTape(bits_in, bits_rows, tape, pool);
         });
         LpnEncoder::setKernel(LpnKernel::Auto);
         printRow({"bit-LPN streaming", bits_streaming,

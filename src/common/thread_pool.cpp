@@ -96,8 +96,8 @@ ThreadPool::runAsync(size_t count, RangeFn fn, void *ctx)
         return;
     }
 
-    const size_t nw = workers.size();
-    const size_t per = (count + nw - 1) / nw;
+    const size_t slices = size_t(threads()) * kAsyncChunksPerThread;
+    const size_t per = (count + slices - 1) / slices;
     {
         std::lock_guard<std::mutex> lock(mutex);
         IRONMAN_CHECK(pending == 0 && !asyncPending,
@@ -106,8 +106,10 @@ ThreadPool::runAsync(size_t count, RangeFn fn, void *ctx)
         jobCtx = ctx;
         jobCount = count;
         jobPer = per;
+        jobChunks = (count + per - 1) / per;
         jobAsync = true;
-        pending = nw;
+        nextChunk.store(0, std::memory_order_relaxed);
+        pending = workers.size();
         asyncPending = true;
         ++jobGen;
     }
@@ -115,11 +117,29 @@ ThreadPool::runAsync(size_t count, RangeFn fn, void *ctx)
 }
 
 void
+ThreadPool::drainChunks(int worker)
+{
+    // Each claimed index is one fixed row range, so which thread runs
+    // it never changes what is written. The job fields were published
+    // under the mutex before the generation bump the caller of this
+    // function synchronized on, and stay fixed until pending drops to
+    // zero.
+    for (;;) {
+        const size_t c = nextChunk.fetch_add(1, std::memory_order_relaxed);
+        if (c >= jobChunks)
+            return;
+        const size_t begin = c * jobPer;
+        jobFn(jobCtx, worker, begin, std::min(jobCount, begin + jobPer));
+    }
+}
+
+void
 ThreadPool::wait()
 {
-    std::unique_lock<std::mutex> lock(mutex);
     if (!asyncPending)
         return;
+    drainChunks(0);
+    std::unique_lock<std::mutex> lock(mutex);
     cvDone.wait(lock, [this] { return pending == 0; });
     asyncPending = false;
 }
@@ -146,12 +166,14 @@ ThreadPool::workerMain(int id, uint64_t seen)
             async = jobAsync;
         }
 
-        // Async jobs have no caller slice: worker 1 starts at 0.
-        size_t slice = size_t(id) - (async ? 1 : 0);
-        size_t begin = std::min(count, slice * per);
-        size_t end = std::min(count, begin + per);
-        if (begin < end)
-            fn(ctx, id, begin, end);
+        if (async) {
+            drainChunks(id);
+        } else {
+            size_t begin = std::min(count, size_t(id) * per);
+            size_t end = std::min(count, begin + per);
+            if (begin < end)
+                fn(ctx, id, begin, end);
+        }
 
         {
             std::lock_guard<std::mutex> lock(mutex);

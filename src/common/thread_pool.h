@@ -6,14 +6,18 @@
  * embarrassingly parallel over disjoint output ranges, but spawning
  * std::threads per call costs both latency and heap allocations. This
  * pool follows the stage/work-queue idiom of the pipelined-simulator
- * exemplar: N-1 persistent workers plus the calling thread, each
- * handed one contiguous range per job.
+ * exemplar: N-1 persistent workers plus the calling thread. run()
+ * hands each thread one contiguous range; runAsync() cuts the job into
+ * a fixed number of chunks that the workers claim from an atomic
+ * cursor while the caller does other work, and wait() makes the caller
+ * claim whatever is left before it blocks.
  *
  * Properties the protocol code relies on:
- *  - the range partition depends only on (count, threads), never on
- *    scheduling, so parallel output is bit-identical to serial;
- *  - run() performs no heap allocation (jobs are a function pointer +
- *    context, not a queue of std::functions);
+ *  - the range/chunk partition depends only on (count, threads), never
+ *    on scheduling, and every range is written by exactly one thread,
+ *    so parallel output is bit-identical to serial;
+ *  - run()/runAsync()/wait() perform no heap allocation (jobs are a
+ *    function pointer + context, not a queue of std::functions);
  *  - with threads <= 1 the pool holds no workers and runs inline.
  *
  * Jobs must not throw (protocol invariants use IRONMAN_CHECK, which
@@ -23,6 +27,7 @@
 #ifndef IRONMAN_COMMON_THREAD_POOL_H
 #define IRONMAN_COMMON_THREAD_POOL_H
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
@@ -31,7 +36,7 @@
 
 namespace ironman::common {
 
-/** Persistent worker pool; one contiguous range per worker. */
+/** Persistent worker pool over disjoint row ranges. */
 class ThreadPool
 {
   public:
@@ -74,19 +79,27 @@ class ThreadPool
             &f);
     }
 
+    /** Chunks per thread of an async job (load balance vs. claims). */
+    static constexpr size_t kAsyncChunksPerThread = 8;
+
     /**
-     * Launch a job on the background workers ONLY and return
-     * immediately, leaving the calling thread free for other work
-     * (e.g. wire I/O of the next pipeline stage). [0, count) is split
-     * into workers.size() contiguous ranges; fn receives worker ids
-     * 1..workers.size(). With no workers (threads() == 1) the job runs
-     * inline before returning. @p ctx and the data it references must
-     * stay alive until wait(). run()/parallelFor() must not be called
-     * while an async job is pending.
+     * Launch a job and return immediately, leaving the calling thread
+     * free for other work (e.g. wire I/O of the next pipeline stage).
+     * [0, count) is cut into threads() * kAsyncChunksPerThread chunks
+     * of equal width (the last one shorter); the background workers
+     * (ids 1..threads()-1) start claiming them at once, and wait()
+     * drains the rest on the calling thread as worker 0. With no
+     * workers (threads() == 1) the job runs inline before returning.
+     * @p ctx and the data it references must stay alive until wait().
+     * run()/parallelFor() must not be called while an async job is
+     * pending.
      */
     void runAsync(size_t count, RangeFn fn, void *ctx);
 
-    /** Block until the job launched by runAsync() has completed. */
+    /**
+     * Claim and run the pending async job's unclaimed chunks on this
+     * thread, then block until the workers' chunks have completed.
+     */
     void wait();
 
     /** Async sugar; the callable must outlive the matching wait(). */
@@ -104,6 +117,8 @@ class ThreadPool
   private:
     void workerMain(int id, uint64_t start_gen);
     void stopWorkers();
+    /** Run unclaimed chunks of the current async job as @p worker. */
+    void drainChunks(int worker);
 
     std::vector<std::thread> workers;
 
@@ -114,8 +129,10 @@ class ThreadPool
     RangeFn jobFn = nullptr;
     void *jobCtx = nullptr;
     size_t jobCount = 0;
-    size_t jobPer = 0;     ///< range width (ceil(count / slices))
-    bool jobAsync = false; ///< workers-only split (no caller slice)
+    size_t jobPer = 0;     ///< range / chunk width
+    size_t jobChunks = 0;  ///< async: chunks in the job
+    bool jobAsync = false; ///< chunked split, claimed from nextChunk
+    std::atomic<size_t> nextChunk{0}; ///< async: next unclaimed chunk
     size_t pending = 0;    ///< workers still running the current job
     bool asyncPending = false; ///< a runAsync() awaits wait()
     bool stopping = false;

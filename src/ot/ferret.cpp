@@ -87,6 +87,28 @@ encodePooled(const LpnEncoder &enc, OtWorkspace &ws, const Block *in,
 }
 
 /**
+ * Copy-feed layout: copy each tree's first bucketSize() leaves into its
+ * LPN row range (scatter-free engines skip this — their leaf matrix
+ * already is the row vector). At 2^20 this moves ~20 MB, so it is
+ * split over the pool by tree; every tree owns its rows, so the split
+ * never changes the bits.
+ */
+void
+scatterLeaves(const FerretParams &p, OtWorkspace &ws, const Block *leaf,
+              Block *rows)
+{
+    const size_t bucket = p.bucketSize();
+    const size_t leaves = p.treeLeaves();
+    ws.pool.parallelFor(p.t, [&](int, size_t lo, size_t hi) {
+        for (size_t tr = lo; tr < hi; ++tr) {
+            const size_t row0 = tr * bucket;
+            std::copy_n(leaf + tr * leaves, std::min(bucket, p.n - row0),
+                        rows + row0);
+        }
+    });
+}
+
+/**
  * Build the engine's index tape unless the set is above the memory
  * cap (2^23+, which stays on the streaming path). Idempotent; shared
  * by both endpoints so the cap policy lives in one place.
@@ -173,8 +195,6 @@ FerretCotSender::extendInto(Rng &rng, Block *out)
     ws.prepare(p, threads, pipelined_ ? 2 : 1, sf);
     ensureTape();
     const SpcotConfig cfg = spcotConfigOf(p);
-    const size_t bucket = p.bucketSize();
-    const size_t leaves = p.treeLeaves();
     const size_t spcot_cots = p.t * p.cotsPerTree();
     const size_t reserved = p.k + spcot_cots;
     uint64_t prg_ops = 0;
@@ -206,11 +226,7 @@ FerretCotSender::extendInto(Rng &rng, Block *out)
         phase.reset();
         Block *z = sf ? ws.leaf[0] : ws.rows;
         if (!sf)
-            for (size_t tr = 0; tr < p.t; ++tr) {
-                size_t row0 = tr * bucket;
-                size_t width = std::min(bucket, p.n - row0);
-                std::copy_n(ws.leaf[0] + tr * leaves, width, z + row0);
-            }
+            scatterLeaves(p, ws, ws.leaf[0], z);
         encodePooled(encoder, ws, lpn_r, z, 0, p.n);
         const uint64_t lpn_us = uint64_t(phase.seconds() * 1e6);
         stats_.add("lpn_us", lpn_us);
@@ -242,11 +258,7 @@ FerretCotSender::extendInto(Rng &rng, Block *out)
     Block *z = sf ? ws.leaf[slotCur] : ws.rows;
     const Block *lpn_r = baseQ.data();
     if (!sf)
-        for (size_t tr = 0; tr < p.t; ++tr) {
-            size_t row0 = tr * bucket;
-            size_t width = std::min(bucket, p.n - row0);
-            std::copy_n(ws.leaf[slotCur] + tr * leaves, width, z + row0);
-        }
+        scatterLeaves(p, ws, ws.leaf[slotCur], z);
     encodePooled(encoder, ws, lpn_r, z, 0, reserved);
     baseNext.assign(z, z + reserved);
     const uint64_t lpn_prefix_us = uint64_t(phase.seconds() * 1e6);
@@ -255,10 +267,11 @@ FerretCotSender::extendInto(Rng &rng, Block *out)
 
     // Hand the output tail to the pool workers and, while they
     // gather-XOR, push iteration i+1's SPCOT transcript from this
-    // thread (expansion runs serially here — the pool is busy; the
-    // partition never changes the bits). Stage-handoff invariant:
-    // slot slotCur is free (scattered above), the transcript writes
-    // slot slotCur^1.
+    // thread (expansion runs serially here — the pool is busy); then
+    // wait() joins the gather-XOR on its unclaimed chunks. The chunk
+    // partition never changes the bits. Stage-handoff invariant: slot
+    // slotCur is free (scattered above), the transcript writes slot
+    // slotCur^1.
     phase.reset();
     auto encode_tail = [&](int worker, size_t lo, size_t hi) {
         encodeRange(encoder, ws, lpn_r, z + reserved + lo,
@@ -361,7 +374,6 @@ FerretCotReceiver::extendInto(Rng &rng, BitVec &choice_out, Block *t_out)
     ensureTape();
     const SpcotConfig cfg = spcotConfigOf(p);
     const size_t bucket = p.bucketSize();
-    const size_t leaves = p.treeLeaves();
     const size_t spcot_cots = p.t * p.cotsPerTree();
     const size_t reserved = p.k + spcot_cots;
     uint64_t prg_ops = 0;
@@ -376,7 +388,7 @@ FerretCotReceiver::extendInto(Rng &rng, BitVec &choice_out, Block *t_out)
 
     auto encode_bits = [&](const BitVec &in, BitVec &inout) {
         if (ws.tape.ready())
-            encoder.encodeBitsTape(in, inout, ws.tape);
+            encoder.encodeBitsTape(in, inout, ws.tape, ws.pool);
         else
             encoder.encodeBits(in, inout, ws.lpn[0]);
     };
@@ -410,13 +422,10 @@ FerretCotReceiver::extendInto(Rng &rng, BitVec &choice_out, Block *t_out)
         ws.x.resize(p.n);
         ws.x.zeroAll();
         Block *y = sf ? ws.leaf[0] : ws.rows;
-        for (size_t tr = 0; tr < p.t; ++tr) {
-            size_t row0 = tr * bucket;
-            size_t width = std::min(bucket, p.n - row0);
-            if (!sf)
-                std::copy_n(ws.leaf[0] + tr * leaves, width, y + row0);
-            ws.x.set(row0 + ws.alphas[tr], true);
-        }
+        if (!sf)
+            scatterLeaves(p, ws, ws.leaf[0], y);
+        for (size_t tr = 0; tr < p.t; ++tr)
+            ws.x.set(tr * bucket + ws.alphas[tr], true);
         encode_bits(ws.e, ws.x);
         encodePooled(encoder, ws, lpn_s, y, 0, p.n);
         const uint64_t lpn_us = uint64_t(phase.seconds() * 1e6);
@@ -465,13 +474,10 @@ FerretCotReceiver::extendInto(Rng &rng, BitVec &choice_out, Block *t_out)
     ws.x.zeroAll();
     Block *y = sf ? ws.leaf[0] : ws.rows;
     const Block *lpn_s = baseT.data();
-    for (size_t tr = 0; tr < p.t; ++tr) {
-        size_t row0 = tr * bucket;
-        size_t width = std::min(bucket, p.n - row0);
-        if (!sf)
-            std::copy_n(ws.leaf[0] + tr * leaves, width, y + row0);
-        ws.x.set(row0 + slot->alphas[tr], true);
-    }
+    if (!sf)
+        scatterLeaves(p, ws, ws.leaf[0], y);
+    for (size_t tr = 0; tr < p.t; ++tr)
+        ws.x.set(tr * bucket + slot->alphas[tr], true);
     encode_bits(ws.e, ws.x);
     const uint64_t lpn_bits_us = uint64_t(phase.seconds() * 1e6);
     stats_.add("lpn_bits_us", lpn_bits_us);
@@ -479,7 +485,8 @@ FerretCotReceiver::extendInto(Rng &rng, BitVec &choice_out, Block *t_out)
 
     // Prefetch iteration i+1: choices out, then the block LPN runs on
     // the workers while this thread blocks on the returning
-    // ciphertexts. Stage-handoff invariant: the next transcript fills
+    // ciphertexts, after which wait() joins the gather-XOR on its
+    // unclaimed chunks. Stage-handoff invariant: the next transcript fills
     // slots[slotCur^1] while the LPN stage still reads slots[slotCur]'s
     // alphas (and nothing else of it).
     SpcotRecvSlot *next_slot = &ws.spcot.slots[slotCur ^ 1];

@@ -568,14 +568,27 @@ LpnEncoder::encodeBits(const BitVec &in, BitVec &inout,
 
 void
 LpnEncoder::encodeBitsTape(const BitVec &in, BitVec &inout,
-                           const LpnIndexTape &tape) const
+                           const LpnIndexTape &tape,
+                           common::ThreadPool &pool) const
 {
     IRONMAN_CHECK(in.size() == p.k && inout.size() == p.n);
     IRONMAN_CHECK(tape.ready() && tape.builtFor == p &&
                       tape.rows >= p.n,
                   "tape too short for bit encode");
-    activeBitKernel()(in.rawWords().data(), inout.rawWords().data(),
-                      tape.idx.data(), p.n, p.d);
+    static_assert(64 % kLane == 0, "word ranges must be lane-aligned");
+    const BitGatherFn kernel = activeBitKernel();
+    const uint64_t *in_words = in.rawWords().data();
+    uint64_t *out_words = inout.rawWords().data();
+    const uint32_t *tape_idx = tape.idx.data();
+    // Partition output WORDS, not rows: a range of whole 64-bit words
+    // is also whole lane groups, so row lo's group starts at tape
+    // offset lo * d and no two threads write the same word.
+    pool.parallelFor((p.n + 63) / 64, [&](int, size_t wlo, size_t whi) {
+        const size_t lo = wlo * 64;
+        const size_t hi = std::min(p.n, whi * 64);
+        kernel(in_words, out_words + wlo, tape_idx + lo * p.d, hi - lo,
+               p.d);
+    });
 }
 
 } // namespace ironman::ot

@@ -195,9 +195,13 @@ class LpnEncoder
      * the lane-transposed tape — one result byte per 8-row lane group
      * instead of per-bit get/set, with an AVX2 vpgatherdd/vpsrlvd
      * kernel behind the same runtime dispatch as the block path.
+     * Rows are split over @p pool in 64-row-aligned ranges, so no two
+     * threads write the same output word and every range starts on a
+     * tape lane group. Bit-identical at any thread count.
      */
     void encodeBitsTape(const BitVec &in, BitVec &inout,
-                        const LpnIndexTape &tape) const;
+                        const LpnIndexTape &tape,
+                        common::ThreadPool &pool) const;
 
     /**
      * Pin the gather-XOR kernels (block and bit) for all encoders;

@@ -93,7 +93,11 @@ CotClient::extendRecv(BitVec &choice, Block *t)
 {
     IRONMAN_CHECK(receiver && !closed,
                   "extendRecv needs an open receiver-role session");
+    // Flush the opcode now: the server starts its half (LPN of the
+    // prefetched transcript) while this side finishes SPCOT, instead
+    // of at this side's first read.
     sendOp(*ch, Op::Extend);
+    ch->flush();
     receiver->extendInto(rng, choice, t);
     // extendInto may end on a send (the pipelined prefetch); the
     // server blocks on those bytes before its next opcode read.
@@ -107,6 +111,7 @@ CotClient::extendSend(Block *q)
     IRONMAN_CHECK(sender && !closed,
                   "extendSend needs an open sender-role session");
     sendOp(*ch, Op::Extend);
+    ch->flush();
     sender->extendInto(rng, q);
     ch->flush();
     ++extensions;

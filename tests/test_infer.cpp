@@ -512,6 +512,11 @@ TEST(InferServiceTest, ReservoirSessionChurnReusesWarmEngines)
               engines_after_wave1)
         << "invariant 13: later inference sessions must reuse warm "
            "engines, not construct";
+    // The infer session's served count lands in its own epilogue, not
+    // with the COT sessions drained above: wait (bounded) on it.
+    for (int spin = 0; spin < 5000 && server.sessionsServed() < 3u;
+         ++spin)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
     EXPECT_EQ(server.sessionsServed(), 3u);
 
     server.stop();

@@ -252,7 +252,7 @@ TEST(LpnTapeTest, BitEncodeTapeMatchesStreaming)
     LpnIndexTape tape;
     enc.buildTape(tape, p.n, pool, &scratch);
     BitVec got = base;
-    enc.encodeBitsTape(in, got, tape);
+    enc.encodeBitsTape(in, got, tape, pool);
     EXPECT_EQ(got, expect);
 }
 
@@ -287,7 +287,7 @@ TEST(LpnTapeTest, BitEncodeSimdMatchesScalarUnderRandomSeeds)
         enc.buildTape(tape, p.n, pool, scratches.data());
 
         BitVec simd = base;
-        enc.encodeBitsTape(in, simd, tape);
+        enc.encodeBitsTape(in, simd, tape, pool);
         EXPECT_EQ(simd, expect) << "trial " << trial;
 
         for (LpnKernel k :
@@ -295,10 +295,59 @@ TEST(LpnTapeTest, BitEncodeSimdMatchesScalarUnderRandomSeeds)
               LpnKernel::Avx2Gather}) {
             LpnEncoder::setKernel(k);
             BitVec pinned = base;
-            enc.encodeBitsTape(in, pinned, tape);
+            enc.encodeBitsTape(in, pinned, tape, pool);
             LpnEncoder::setKernel(LpnKernel::Auto);
             EXPECT_EQ(pinned, expect)
                 << "trial " << trial << " kernel " << int(k);
+        }
+    }
+}
+
+/**
+ * Pooled bit-LPN splits rows in 64-row (one output word) ranges: at
+ * every thread count and through every pinnable kernel it must match
+ * the one-thread encode, including an n % 64 != 0 tail and an n so
+ * small that some threads get an empty range.
+ */
+TEST(LpnTapeTest, BitEncodePoolMatchesSerialAtAnyThreadCount)
+{
+    for (size_t n : {size_t(100), size_t(3001)}) {
+        LpnParams p;
+        p.n = n;
+        p.k = 333;
+        p.d = 7;
+        p.seed = 4040 + n;
+        LpnEncoder enc(p);
+
+        Rng rng(77 + n);
+        BitVec in = rng.nextBits(p.k);
+        BitVec base = rng.nextBits(p.n);
+
+        common::ThreadPool serial(1);
+        LpnEncodeScratch scratch;
+        LpnIndexTape tape;
+        enc.buildTape(tape, p.n, serial, &scratch);
+
+        BitVec reference = base;
+        enc.encodeBits(in, reference, scratch);
+
+        for (LpnKernel k :
+             {LpnKernel::Scalar, LpnKernel::Sse2, LpnKernel::Avx2,
+              LpnKernel::Avx2Gather}) {
+            LpnEncoder::setKernel(k);
+            BitVec expect = base;
+            enc.encodeBitsTape(in, expect, tape, serial);
+            EXPECT_EQ(expect, reference)
+                << "n " << n << " kernel " << int(k);
+            for (int threads : {2, 3, 4}) {
+                common::ThreadPool pool(threads);
+                BitVec pooled = base;
+                enc.encodeBitsTape(in, pooled, tape, pool);
+                EXPECT_EQ(pooled, expect) << "n " << n << " kernel "
+                                          << int(k) << " threads "
+                                          << threads;
+            }
+            LpnEncoder::setKernel(LpnKernel::Auto);
         }
     }
 }

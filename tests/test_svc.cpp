@@ -21,6 +21,7 @@
 
 #include <atomic>
 #include <cstring>
+#include <latch>
 #include <map>
 #include <mutex>
 #include <thread>
@@ -435,7 +436,10 @@ TEST(CotServiceTest, EnginesReusedAcrossSessionWaves)
     CotServer server(CotServer::Config{1, true, kWaveSessions});
     const uint16_t port = server.listenTcp(0);
 
-    auto run_wave = [&](uint64_t seed_base) {
+    // @p hold, when set, keeps every client's session open after its
+    // extension until all kWaveSessions have extended, so the server
+    // holds that many engine leases at once.
+    auto run_wave = [&](uint64_t seed_base, std::latch *hold) {
         std::vector<std::thread> clients;
         for (int i = 0; i < kWaveSessions; ++i)
             clients.emplace_back([&, i] {
@@ -446,20 +450,25 @@ TEST(CotServiceTest, EnginesReusedAcrossSessionWaves)
                 BitVec c;
                 std::vector<Block> t(client->usableOts());
                 client->extendRecv(c, t.data());
+                if (hold)
+                    hold->arrive_and_wait();
                 client->close();
             });
         for (auto &th : clients)
             th.join();
     };
 
-    run_wave(7000);
+    // Wave 1 is fully concurrent: it must build exactly one engine per
+    // session, and no later (at most as concurrent) wave may build more.
+    std::latch all_extended(kWaveSessions);
+    run_wave(7000, &all_extended);
     waitForSessions(server, kWaveSessions);
     const uint64_t created_after_wave1 = server.pool().sendersCreated();
-    EXPECT_LE(created_after_wave1, uint64_t(kWaveSessions));
+    EXPECT_EQ(created_after_wave1, uint64_t(kWaveSessions));
 
-    run_wave(8000);
+    run_wave(8000, nullptr);
     waitForSessions(server, 2u * kWaveSessions);
-    run_wave(9000);
+    run_wave(9000, nullptr);
     waitForSessions(server, 3u * kWaveSessions);
     EXPECT_EQ(server.pool().sendersCreated(), created_after_wave1)
         << "later waves must reuse pooled engines, not construct";
