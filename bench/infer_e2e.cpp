@@ -29,11 +29,6 @@
  *     bytes/image ceiling,
  *   - depth-8 batch-1 >= 0.8x the depth-1 batch-8 throughput on
  *     loopback, and STRICTLY faster on every simulated-latency row.
- *
- * Single-core caveat (EXPERIMENTS.md): on a 1-core container the
- * reservoir's refill thread, the COT server's session threads and
- * the online phase all share one CPU, so the overlap the reservoir
- * buys shows up as latency hiding only on real cores.
  */
 
 #include <cstdio>
@@ -249,8 +244,7 @@ main()
                   "served GMW MLP inference: packed wire, pipelining, "
                   "latency rows");
     bench::note("byte/round columns are online deltas measured after "
-                "session bring-up; single-core caveat in "
-                "EXPERIMENTS.md applies to the overlap paths");
+                "session bring-up");
 
     bench::JsonWriter json("BENCH_infer_e2e.json");
     json.kv("bench", "infer_e2e");
@@ -374,9 +368,10 @@ main()
         std::printf("\n%s w%u pipelining, %zu images, loopback\n",
                     spec.name.c_str(), width, images);
         printHeader();
-        // Best of two runs per row: single-core loopback throughput
-        // at this scale is noisy (refill threads share the CPU) and
-        // the sentinel compares the two rows against each other.
+        // Best of two runs per row: loopback throughput at this scale
+        // is noisy (refill threads share the cores with the online
+        // phase) and the sentinel compares the two rows against each
+        // other.
         auto best = [&](const std::vector<std::vector<int64_t>> &rq,
                         uint32_t b, uint16_t d, const char *path) {
             Row r1 = runServed(spec, width, b, params, rq,

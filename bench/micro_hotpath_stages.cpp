@@ -10,15 +10,15 @@
  *   wire         — measured transcript bytes, converted to LAN/WAN
  *                  seconds with the analytic NetworkModel.
  *
- * plus the end-to-end OT/s of the unpipelined and pipelined engines.
- * Cycles are TSC ticks on x86 (calibrated against the wall clock so
- * the printed cycles/unit are meaningful on this host); elsewhere the
- * cycle columns fall back to nanoseconds.
+ * plus the end-to-end OT/s of the unpipelined and pipelined engines
+ * at 1 and 2 threads per party. The GGM rows put the full tree next to
+ * the engine's kept width (bucketSize() leaves per tree), in cycles
+ * and in PRG outputs per extension. Cycles are TSC ticks on x86
+ * (calibrated against the wall clock so the printed cycles/unit are
+ * meaningful on this host); elsewhere the cycle columns fall back to
+ * nanoseconds.
  *
- * Record the numbers in EXPERIMENTS.md. Caveat (ROADMAP.md): this dev
- * container is single-core, so the iteration pipeline cannot overlap
- * stages here — its LPN tail runs inline — and the measured gains come
- * from batched CRHF + the index tape. Re-measure on multicore.
+ * Record the numbers in EXPERIMENTS.md.
  *
  * Run: ./bench_micro_hotpath_stages   (IRONMAN_BENCH_FAST=1 trims)
  */
@@ -124,7 +124,8 @@ struct E2e
  * on a protocol regression, not just a crash.
  */
 E2e
-endToEnd(const FerretParams &p, bool pipelined, int iters, bool *ok)
+endToEnd(const FerretParams &p, bool pipelined, int threads, int iters,
+         bool *ok)
 {
     Rng dealer(1234);
     Block delta = dealer.nextBlock();
@@ -136,6 +137,7 @@ endToEnd(const FerretParams &p, bool pipelined, int iters, bool *ok)
     std::thread sender_thread([&] {
         FerretCotSender sender(duplex.a(), p, delta, std::move(bs.q));
         sender.setPipelined(pipelined);
+        sender.setThreads(threads);
         Rng rng(1);
         sender.extendInto(rng, q.data()); // warm-up
         Timer timer;
@@ -146,6 +148,7 @@ endToEnd(const FerretParams &p, bool pipelined, int iters, bool *ok)
     FerretCotReceiver receiver(duplex.b(), p, std::move(br.choice),
                                std::move(br.t));
     receiver.setPipelined(pipelined);
+    receiver.setThreads(threads);
     Rng rng(2);
     BitVec choice;
     std::vector<Block> t(p.usableOts());
@@ -186,51 +189,70 @@ main()
                 tps / 1e9);
 
     // -- stage 1: SPCOT expansion (t GGM trees) ------------------------
+    // Full trees (the standalone SPCOT default, and what the paper's
+    // hardware model expands) next to the engine's kept width: each
+    // tree expands only the nodes that reach its bucketSize() leaves.
+    size_t prg_full = 0, prg_kept = 0;
     {
-        GgmSumLayout layout =
-            GgmSumLayout::of(treeArities(p.treeLeaves(), p.arity));
+        const auto arities = treeArities(p.treeLeaves(), p.arity);
+        const GgmSumLayout full = GgmSumLayout::of(arities);
+        const GgmSumLayout kept = GgmSumLayout::of(arities, p.bucketSize());
+        prg_full = p.t * full.expandedNodes();
+        prg_kept = p.t * kept.expandedNodes();
 
         // Per-tree reference path (one expander call per tree level).
         auto prg = crypto::makeTreeExpander(p.prg, p.arity);
         GgmScratch scratch;
-        std::vector<Block> leaves(layout.leaves);
-        std::vector<Block> sums(layout.total);
+        std::vector<Block> leaves(full.leaves);
+        std::vector<Block> sums(full.total);
         Block leaf_sum;
         double per_tree = measureCycles(3, [&] {
             for (size_t tr = 0; tr < p.t; ++tr)
-                ggmExpandInto(*prg, Block::fromUint64(tr), layout,
-                              scratch, leaves.data(), sums.data(),
-                              &leaf_sum);
+                ggmExpandInto(*prg, Block::fromUint64(tr), full, scratch,
+                              leaves.data(), sums.data(), &leaf_sum);
         });
 
         // Cross-tree level-synchronous path (one expander call per
-        // level per chunk — the hot path of spcotSendTranscript).
+        // level per chunk — the hot path of spcotSendTranscript), with
+        // tree tr's leaves at tr * width as the engine lays them out.
         constexpr size_t kChunk = SpcotWorkspace::kBatchTrees;
-        auto batch_prg = crypto::makeTreeExpander(p.prg, p.arity);
-        GgmBatchScratch batch_scratch;
-        std::vector<Block> seeds(kChunk);
-        for (size_t i = 0; i < kChunk; ++i)
-            seeds[i] = Block::fromUint64(i);
-        std::vector<Block> batch_leaves(kChunk * layout.leaves);
-        std::vector<Block> batch_sums(kChunk * layout.total);
-        std::vector<Block> batch_leaf_sums(kChunk);
-        double cross = measureCycles(3, [&] {
-            for (size_t tr0 = 0; tr0 < p.t; tr0 += kChunk) {
-                const size_t cnt = std::min(kChunk, p.t - tr0);
-                ggmExpandBatchInto(*batch_prg, seeds.data(), cnt, layout,
-                                   batch_scratch, batch_leaves.data(),
-                                   layout.leaves, batch_sums.data(),
-                                   layout.total, batch_leaf_sums.data());
-            }
-        });
+        auto cross = [&](const GgmSumLayout &layout) {
+            auto batch_prg = crypto::makeTreeExpander(p.prg, p.arity);
+            GgmBatchScratch batch_scratch;
+            std::vector<Block> seeds(kChunk);
+            for (size_t i = 0; i < kChunk; ++i)
+                seeds[i] = Block::fromUint64(i);
+            std::vector<Block> batch_leaves(kChunk * layout.width);
+            std::vector<Block> batch_sums(kChunk * layout.total);
+            std::vector<Block> batch_leaf_sums(kChunk);
+            return measureCycles(3, [&] {
+                for (size_t tr0 = 0; tr0 < p.t; tr0 += kChunk) {
+                    const size_t cnt = std::min(kChunk, p.t - tr0);
+                    ggmExpandBatchInto(
+                        *batch_prg, seeds.data(), cnt, layout,
+                        batch_scratch, batch_leaves.data(), layout.width,
+                        batch_sums.data(), layout.total,
+                        batch_leaf_sums.data());
+                }
+            });
+        };
+        const double cross_full = cross(full);
+        const double cross_kept = cross(kept);
 
         printRow({"GGM expand, per-tree", per_tree,
                   per_tree / double(p.t * p.treeLeaves()), "leaf"});
-        printRow({"GGM expand, cross-tree", cross,
-                  cross / double(p.t * p.treeLeaves()), "leaf"});
+        printRow({"GGM expand, cross-tree", cross_full,
+                  cross_full / double(p.t * p.treeLeaves()), "leaf"});
+        printRow({"GGM expand, engine width", cross_kept,
+                  cross_kept / double(p.t * p.bucketSize()), "kept leaf"});
         std::printf("    -> level-synchronous speedup %.2fx over t=%zu "
                     "trees\n",
-                    per_tree / cross, p.t);
+                    per_tree / cross_full, p.t);
+        std::printf("    -> PRG outputs/ext: full tree %zu, engine width "
+                    "%zu (%.1f%% fewer); cycles %.2fx fewer\n",
+                    prg_full, prg_kept,
+                    100.0 * (1.0 - double(prg_kept) / double(prg_full)),
+                    cross_full / cross_kept);
     }
 
     // -- stage 2: CRHF (all hashes of one extension) -------------------
@@ -355,10 +377,12 @@ main()
     }
 
     // -- stage 4 + end to end ------------------------------------------
-    const int iters = fast ? 2 : 2;
+    const int iters = 2;
     bool ok = true;
-    E2e plain = endToEnd(p, false, iters, &ok);
-    E2e piped = endToEnd(p, true, iters, &ok);
+    E2e plain = endToEnd(p, false, 1, iters, &ok);
+    E2e piped = endToEnd(p, true, 1, iters, &ok);
+    E2e plain2 = endToEnd(p, false, 2, iters, &ok);
+    E2e piped2 = endToEnd(p, true, 2, iters, &ok);
 
     net::NetworkModel lan = net::lanNetwork();
     net::NetworkModel wan = net::wanNetwork();
@@ -368,36 +392,22 @@ main()
                 lan.seconds(plain.wireBytes, 1) * 1e3,
                 wan.seconds(plain.wireBytes, 1) * 1e3);
 
-    std::printf("\nend to end (%d iters, 1 thread):\n", iters);
-    std::printf("  unpipelined engine        %8.2f M OT/s\n",
-                plain.otsPerSec / 1e6);
-    std::printf("  pipelined engine          %8.2f M OT/s\n",
-                piped.otsPerSec / 1e6);
+    std::printf("\nend to end (%d iters; threads per party):\n", iters);
+    std::printf("  %-26s %8s %8s\n", "", "1 thread", "2 threads");
+    std::printf("  %-26s %8.2f %8.2f M OT/s\n", "unpipelined engine",
+                plain.otsPerSec / 1e6, plain2.otsPerSec / 1e6);
+    std::printf("  %-26s %8.2f %8.2f M OT/s\n", "pipelined engine",
+                piped.otsPerSec / 1e6, piped2.otsPerSec / 1e6);
     if (!fast)
         std::printf("  PR2 pipelined baseline      5.5-5.9 M OT/s "
                     "(EXPERIMENTS.md, this container)\n  -> speedup "
                     "%.2fx (acceptance: >= 1.2x)\n",
                     std::max(plain.otsPerSec, piped.otsPerSec) / 5.9e6);
 
-    // Scatter-free feed (bucketSize() == treeLeaves()): measured on
-    // the aligned tiny set, where the leaf matrix IS the row vector.
-    double sf_ots = 0;
-    {
-        const FerretParams ap = tinyAlignedParams();
-        E2e sf = endToEnd(ap, true, iters, &ok);
-        sf_ots = sf.otsPerSec;
-        std::printf("  scatter-free feed (%s) %8.2f M OT/s "
-                    "(pipelined)\n",
-                    ap.name.c_str(), sf.otsPerSec / 1e6);
-    }
-
-    bench::note("single-core container: the pipeline's async LPN tail "
-                "runs inline (no workers), so stage overlap cannot "
-                "show here; re-measure on multicore.");
-
     // Regression sentinel for the CI bench-smoke step: a broken
     // correlation or an implausibly slow hot path fails the run.
-    if (plain.otsPerSec < 1e5 || piped.otsPerSec < 1e5)
+    if (plain.otsPerSec < 1e5 || piped.otsPerSec < 1e5 ||
+        plain2.otsPerSec < 1e5 || piped2.otsPerSec < 1e5)
         ok = false;
 
     // Machine-readable mirror of the table above, for the CI perf
@@ -416,11 +426,14 @@ main()
         for (const StageRow &r : g_rows)
             j.kv(r.name, r.per_unit);
         j.endObject();
+        j.kv("ggm_prg_outputs_full_per_ext", uint64_t(prg_full));
+        j.kv("ggm_prg_outputs_engine_per_ext", uint64_t(prg_kept));
         j.key("e2e");
         j.beginObject();
         j.kv("unpipelined_ots_per_sec", plain.otsPerSec);
         j.kv("pipelined_ots_per_sec", piped.otsPerSec);
-        j.kv("scatter_free_ots_per_sec", sf_ots);
+        j.kv("unpipelined_2t_ots_per_sec", plain2.otsPerSec);
+        j.kv("pipelined_2t_ots_per_sec", piped2.otsPerSec);
         j.kv("wire_bytes_per_ext", plain.wireBytes);
         j.endObject();
         j.kv("ok", uint64_t(ok ? 1 : 0));

@@ -43,7 +43,10 @@
  * prefix first and parses the rest in the hello's dialect; it replies
  * and serves in that dialect too. A v1 peer therefore negotiates
  * depth 1, unpacked wire, untagged immediate evaluation — exactly the
- * PR 5 protocol — against a v2 server.
+ * PR 5 protocol — against a v2 server. Version 3 is the v2 dialect
+ * byte for byte; only its Engine-supply FERRET transcripts carry
+ * kept-prefix SPCOT values, so "v2" below names the dialect and v2
+ * peers themselves are refused.
  *
  * Flags (v2): kInferFlagPackedWire switches every online payload to
  * semantic width — chosen-OT lanes via SecureCompute::setWirePacking
@@ -76,7 +79,11 @@
 namespace ironman::infer {
 
 constexpr uint32_t kInferMagic = 0x49524946; ///< "IRIF"
-constexpr uint16_t kInferWireVersion = 2;
+/// 3: the v2 dialect with kept-prefix GGM trees in its Engine-supply
+/// FERRET engines (same bytes, different SPCOT values), so a v2 peer is
+/// refused. v1 keeps its number: v1 peers must be built from the same
+/// tree (DESIGN.md §4).
+constexpr uint16_t kInferWireVersion = 3;
 constexpr uint16_t kInferWireVersionV1 = 1; ///< PR 5 dialect, still served
 
 /** Hello/accept flag bits (v2). */

@@ -54,10 +54,13 @@ lpnParamsOf(const FerretParams &p)
 SpcotConfig
 spcotConfigOf(const FerretParams &p)
 {
+    // Each tree keeps its bucket's leaves, written straight into the
+    // bucket's LPN rows.
     SpcotConfig cfg;
     cfg.numLeaves = p.treeLeaves();
     cfg.arity = p.arity;
     cfg.prg = p.prg;
+    cfg.width = p.bucketSize();
     return cfg;
 }
 
@@ -83,28 +86,6 @@ encodePooled(const LpnEncoder &enc, OtWorkspace &ws, const Block *in,
 {
     ws.pool.parallelFor(count, [&](int worker, size_t lo, size_t hi) {
         encodeRange(enc, ws, in, inout + lo, row0 + lo, hi - lo, worker);
-    });
-}
-
-/**
- * Copy-feed layout: copy each tree's first bucketSize() leaves into its
- * LPN row range (scatter-free engines skip this — their leaf matrix
- * already is the row vector). At 2^20 this moves ~20 MB, so it is
- * split over the pool by tree; every tree owns its rows, so the split
- * never changes the bits.
- */
-void
-scatterLeaves(const FerretParams &p, OtWorkspace &ws, const Block *leaf,
-              Block *rows)
-{
-    const size_t bucket = p.bucketSize();
-    const size_t leaves = p.treeLeaves();
-    ws.pool.parallelFor(p.t, [&](int, size_t lo, size_t hi) {
-        for (size_t tr = lo; tr < hi; ++tr) {
-            const size_t row0 = tr * bucket;
-            std::copy_n(leaf + tr * leaves, std::min(bucket, p.n - row0),
-                        rows + row0);
-        }
     });
 }
 
@@ -164,8 +145,7 @@ FerretCotSender::resetSession(net::Channel &channel, const Block &delta,
 void
 FerretCotSender::prewarm()
 {
-    const bool sf = scatterFree_ && OtWorkspace::scatterFreeFeed(p);
-    ws.prepare(p, threads, pipelined_ ? 2 : 1, sf);
+    ws.prepare(p, threads, pipelined_ ? 2 : 1);
     ensureTape();
     baseQ.reserve(p.reservedCots());
     baseNext.reserve(p.reservedCots());
@@ -184,15 +164,7 @@ FerretCotSender::extendInto(Rng &rng, Block *out)
     const bool traced = sampleThisExtension();
     IRONMAN_CHECK(ch && baseQ.size() >= p.reservedCots(),
                   "engine not bound to a session (resetSession)");
-    // Scatter-free feed: every bucket is one whole tree, so SPCOT
-    // writes straight into the LPN row slots and the leaf -> rows
-    // pass disappears (the arena aliases rows onto the leaf slots).
-    // Like the pipeline toggle, the mode must not flip while a
-    // prefetched transcript occupies a slot (prepare() re-carves).
-    const bool sf = scatterFree_ && OtWorkspace::scatterFreeFeed(p);
-    IRONMAN_CHECK(!havePending || ws.scatterFree() == sf,
-                  "setScatterFree with a transcript in flight");
-    ws.prepare(p, threads, pipelined_ ? 2 : 1, sf);
+    ws.prepare(p, threads, pipelined_ ? 2 : 1);
     ensureTape();
     const SpcotConfig cfg = spcotConfigOf(p);
     const size_t spcot_cots = p.t * p.cotsPerTree();
@@ -211,22 +183,19 @@ FerretCotSender::extendInto(Rng &rng, Block *out)
         const Block *lpn_r = baseQ.data();         // k entries
         const Block *spcot_q = baseQ.data() + p.k; // t*log2(l) entries
 
-        // 2. Interactive SPCOT into the workspace leaf matrix — in
-        // scatter-free mode that matrix IS the w vector.
+        // 2. Interactive SPCOT straight into the w rows: tree tr's
+        // kept leaves are its bucket's rows.
         Timer phase;
+        Block *z = ws.rows[0];
         spcotSendInto(*ch, cfg, p.t, delta_, spcot_q, rng, tweak, ws.pool,
-                      ws.spcot, ws.leaf[0], &prg_ops);
+                      ws.spcot, z, &prg_ops);
         const uint64_t spcot_us = uint64_t(phase.seconds() * 1e6);
         stats_.add("spcot_us", spcot_us);
         stats_.add("spcot_prg_ops", prg_ops);
         phaseSpan(traced, "spcot_send", spcot_us, prg_ops);
 
-        // 3. Scatter tree leaves into the length-n w vector (no-op
-        // when scatter-free), then LPN.
+        // 3. LPN-encode the first n rows in place.
         phase.reset();
-        Block *z = sf ? ws.leaf[0] : ws.rows;
-        if (!sf)
-            scatterLeaves(p, ws, ws.leaf[0], z);
         encodePooled(encoder, ws, lpn_r, z, 0, p.n);
         const uint64_t lpn_us = uint64_t(phase.seconds() * 1e6);
         stats_.add("lpn_us", lpn_us);
@@ -249,16 +218,13 @@ FerretCotSender::extendInto(Rng &rng, Block *out)
     if (!havePending)
         spcotSendTranscript(*ch, cfg, p.t, delta_, baseQ.data() + p.k,
                             rng, tweak, &ws.pool, ws.spcot,
-                            ws.leaf[slotCur], &prg_ops);
+                            ws.rows[slotCur], &prg_ops);
 
-    // Scatter the pending leaves (scatter-free: slot slotCur already
-    // IS the row vector), then encode the reserve prefix eagerly —
-    // the next transcript's chosen-OT pads need q' = z[k..reserved).
+    // Encode the pending row slot's reserve prefix eagerly — the next
+    // transcript's chosen-OT pads need q' = z[k..reserved).
     phase.reset();
-    Block *z = sf ? ws.leaf[slotCur] : ws.rows;
+    Block *z = ws.rows[slotCur];
     const Block *lpn_r = baseQ.data();
-    if (!sf)
-        scatterLeaves(p, ws, ws.leaf[slotCur], z);
     encodePooled(encoder, ws, lpn_r, z, 0, reserved);
     baseNext.assign(z, z + reserved);
     const uint64_t lpn_prefix_us = uint64_t(phase.seconds() * 1e6);
@@ -269,8 +235,8 @@ FerretCotSender::extendInto(Rng &rng, Block *out)
     // gather-XOR, push iteration i+1's SPCOT transcript from this
     // thread (expansion runs serially here — the pool is busy); then
     // wait() joins the gather-XOR on its unclaimed chunks. The chunk
-    // partition never changes the bits. Stage-handoff invariant: slot
-    // slotCur is free (scattered above), the transcript writes slot
+    // partition never changes the bits. Stage-handoff invariant: the
+    // workers encode slot slotCur in place, the transcript writes slot
     // slotCur^1.
     phase.reset();
     auto encode_tail = [&](int worker, size_t lo, size_t hi) {
@@ -284,7 +250,7 @@ FerretCotSender::extendInto(Rng &rng, Block *out)
     Timer spcot_timer;
     spcotSendTranscript(*ch, cfg, p.t, delta_, baseNext.data() + p.k,
                         rng, tweak, /*pool=*/nullptr, ws.spcot,
-                        ws.leaf[next], &prefetch_ops);
+                        ws.rows[next], &prefetch_ops);
     const uint64_t spcot_us = uint64_t(spcot_timer.seconds() * 1e6);
     stats_.add("spcot_us", spcot_us);
     phaseSpan(traced, "spcot_transcript", spcot_us, prefetch_ops);
@@ -345,8 +311,7 @@ FerretCotReceiver::resetSession(net::Channel &channel,
 void
 FerretCotReceiver::prewarm()
 {
-    const bool sf = scatterFree_ && OtWorkspace::scatterFreeFeed(p);
-    ws.prepare(p, threads, 1, sf);
+    ws.prepare(p, threads, 1);
     ensureTape();
     baseT.reserve(p.reservedCots());
     baseTNext.reserve(p.reservedCots());
@@ -365,12 +330,8 @@ FerretCotReceiver::extendInto(Rng &rng, BitVec &choice_out, Block *t_out)
     const bool traced = sampleThisExtension();
     IRONMAN_CHECK(ch && baseT.size() >= p.reservedCots(),
                   "engine not bound to a session (resetSession)");
-    // See the sender: scatter-free aliases the single leaf slot onto
-    // the row vector, so reconstruction writes y directly.
-    const bool sf = scatterFree_ && OtWorkspace::scatterFreeFeed(p);
-    IRONMAN_CHECK(!havePending || ws.scatterFree() == sf,
-                  "setScatterFree with a transcript in flight");
-    ws.prepare(p, threads, 1, sf);
+    // See the sender: reconstruction writes the y rows directly.
+    ws.prepare(p, threads, 1);
     ensureTape();
     const SpcotConfig cfg = spcotConfigOf(p);
     const size_t bucket = p.bucketSize();
@@ -408,22 +369,20 @@ FerretCotReceiver::extendInto(Rng &rng, BitVec &choice_out, Block *t_out)
         draw_alphas();
 
         Timer phase;
+        Block *y = ws.rows[0];
         spcotRecvInto(*ch, cfg, p.t, ws.alphas.data(), baseChoice, p.k,
-                      baseT.data() + p.k, tweak, ws.pool, ws.spcot,
-                      ws.leaf[0], &prg_ops);
+                      baseT.data() + p.k, tweak, ws.pool, ws.spcot, y,
+                      &prg_ops);
         const uint64_t spcot_us = uint64_t(phase.seconds() * 1e6);
         stats_.add("spcot_us", spcot_us);
         stats_.add("spcot_prg_ops", prg_ops);
         phaseSpan(traced, "spcot_recv", spcot_us, prg_ops);
 
-        // 3. Build (u, v) over the n rows (scatter-free: the leaf
-        // matrix already is v), then LPN-encode into (x, y).
+        // 3. Build u over the n rows (the rows already hold v), then
+        // LPN-encode into (x, y).
         phase.reset();
         ws.x.resize(p.n);
         ws.x.zeroAll();
-        Block *y = sf ? ws.leaf[0] : ws.rows;
-        if (!sf)
-            scatterLeaves(p, ws, ws.leaf[0], y);
         for (size_t tr = 0; tr < p.t; ++tr)
             ws.x.set(tr * bucket + ws.alphas[tr], true);
         encode_bits(ws.e, ws.x);
@@ -460,7 +419,7 @@ FerretCotReceiver::extendInto(Rng &rng, BitVec &choice_out, Block *t_out)
         spcotRecvRecvTranscript(*ch, cfg, p.t, ws.spcot, *slot);
     }
     spcotRecvFinish(cfg, p.t, baseT.data() + p.k, ws.pool, ws.spcot,
-                    *slot, ws.leaf[0], &prg_ops);
+                    *slot, ws.rows[0], &prg_ops);
     const uint64_t spcot_us = uint64_t(phase.seconds() * 1e6);
     stats_.add("spcot_us", spcot_us);
     stats_.add("spcot_prg_ops", prg_ops);
@@ -472,10 +431,8 @@ FerretCotReceiver::extendInto(Rng &rng, BitVec &choice_out, Block *t_out)
     ws.e.assignRange(baseChoice, 0, p.k);
     ws.x.resize(p.n);
     ws.x.zeroAll();
-    Block *y = sf ? ws.leaf[0] : ws.rows;
+    Block *y = ws.rows[0];
     const Block *lpn_s = baseT.data();
-    if (!sf)
-        scatterLeaves(p, ws, ws.leaf[0], y);
     for (size_t tr = 0; tr < p.t; ++tr)
         ws.x.set(tr * bucket + slot->alphas[tr], true);
     encode_bits(ws.e, ws.x);

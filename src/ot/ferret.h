@@ -126,16 +126,6 @@ class FerretCotSender
     void setPipelined(bool on) { pipelined_ = on; }
     bool pipelined() const { return pipelined_; }
 
-    /**
-     * Toggle the scatter-free LPN feed (default on; local-only, the
-     * peer may differ). Effective only when bucketSize() ==
-     * treeLeaves(): SPCOT then expands straight into the LPN row
-     * vector and the leaf->rows pass disappears. Off forces the
-     * copying feed (tests compare the two). Flip only between
-     * extensions with no transcript in flight.
-     */
-    void setScatterFree(bool on) { scatterFree_ = on; }
-
     /** Counters: prg ops, lpn AES ops, per-phase microseconds. */
     const StatSet &stats() const { return stats_; }
 
@@ -151,8 +141,7 @@ class FerretCotSender
     uint64_t tweak = 1;
     int threads = 1;
     bool pipelined_ = true;
-    bool scatterFree_ = true;
-    bool havePending = false; ///< leaf slot slotCur holds a transcript
+    bool havePending = false; ///< row slot slotCur holds a transcript
     int slotCur = 0;
     OtWorkspace ws;
     StatSet stats_;
@@ -189,9 +178,6 @@ class FerretCotReceiver
     void setPipelined(bool on) { pipelined_ = on; }
     bool pipelined() const { return pipelined_; }
 
-    /** Toggle the scatter-free LPN feed; see FerretCotSender. */
-    void setScatterFree(bool on) { scatterFree_ = on; }
-
     const StatSet &stats() const { return stats_; }
 
   private:
@@ -207,7 +193,6 @@ class FerretCotReceiver
     uint64_t tweak = 1;
     int threads = 1;
     bool pipelined_ = true;
-    bool scatterFree_ = true;
     bool havePending = false; ///< slots[slotCur] holds a transcript
     int slotCur = 0;
     OtWorkspace ws;

@@ -66,16 +66,16 @@ std::vector<FerretParams> allPaperParamSets();
 /**
  * A small set for unit tests and examples: n = 12800, k = 1024,
  * t = 20 (NOT cryptographically sized — protocol-correctness only).
- * bucketSize() (640) != treeLeaves() (1024), so engines on this set
- * use the copying LPN feed.
+ * bucketSize() (640) < treeLeaves() (1024), so engines on this set
+ * keep a 640-leaf prefix of each tree, like the Table-4 sets.
  */
 FerretParams tinyTestParams();
 
 /**
  * The tiny set with n raised to t * treeLeaves() (n = 20480, bucket
- * width 1024 == tree leaves), so every bucket is exactly one tree and
- * engines take the scatter-free LPN feed. NOT cryptographically
- * sized — protocol-correctness and feed-equivalence tests only.
+ * width 1024 == tree leaves), so every bucket is exactly one whole
+ * tree: the engine's full-width case. NOT cryptographically sized —
+ * protocol-correctness tests only.
  */
 FerretParams tinyAlignedParams();
 

@@ -53,6 +53,15 @@ alphaDigits(size_t alpha, const std::vector<unsigned> &arities)
 GgmSumLayout
 GgmSumLayout::of(const std::vector<unsigned> &arities)
 {
+    size_t leaves = 1;
+    for (unsigned m : arities)
+        leaves *= m;
+    return of(arities, leaves);
+}
+
+GgmSumLayout
+GgmSumLayout::of(const std::vector<unsigned> &arities, size_t width)
+{
     GgmSumLayout layout;
     layout.arities = arities;
     layout.offset.reserve(arities.size());
@@ -62,7 +71,27 @@ GgmSumLayout::of(const std::vector<unsigned> &arities)
         layout.total += m;
         layout.leaves *= m;
     }
+    IRONMAN_CHECK(width >= 1 && width <= layout.leaves,
+                  "kept width must be in [1, leaves]");
+    layout.width = width;
+
+    // Level i keeps the nodes whose subtrees reach a kept leaf.
+    layout.kept.resize(arities.size());
+    size_t below = 1;
+    for (size_t lvl = arities.size(); lvl-- > 0;) {
+        layout.kept[lvl] = (width + below - 1) / below;
+        below *= arities[lvl];
+    }
     return layout;
+}
+
+size_t
+GgmSumLayout::expandedNodes() const
+{
+    size_t nodes = 0;
+    for (size_t lvl = 0; lvl < arities.size(); ++lvl)
+        nodes += parents(lvl) * arities[lvl];
+    return nodes;
 }
 
 void
@@ -89,7 +118,8 @@ ggmExpandInto(crypto::SeedExpander &prg, const Block &seed,
               Block *leaves, Block *level_sums, Block *leaf_sum)
 {
     const size_t num_levels = layout.arities.size();
-    IRONMAN_CHECK(num_levels >= 1);
+    IRONMAN_CHECK(num_levels >= 1 && layout.width == layout.leaves,
+                  "the single-tree path expands full trees");
     unsigned max_arity = *std::max_element(layout.arities.begin(),
                                            layout.arities.end());
     scratch.reserve(layout.leaves, max_arity);
@@ -123,17 +153,128 @@ ggmExpandInto(crypto::SeedExpander &prg, const Block &seed,
     *leaf_sum = total;
 }
 
+namespace {
+
+/**
+ * Fewest parents per tree for which the last level is expanded per
+ * tree: one AVX2 pass of the ChaCha core takes 8 seeds, so smaller
+ * trees (the 2-parent mini levels) stay on one cross-tree call and
+ * are staged instead.
+ */
+constexpr size_t kPerTreeMinParents = 8;
+
+enum class LastLevel
+{
+    Direct,  ///< one batched call straight into the leaf span
+    PerTree, ///< per-tree calls into the leaf span, overshoot staged
+    Staged,  ///< one batched call into the matrix, then copied
+};
+
+LastLevel
+lastLevelOf(const GgmSumLayout &layout, size_t leaf_stride)
+{
+    const size_t lvl = layout.arities.size() - 1;
+    const size_t parents = layout.parents(lvl);
+    if (leaf_stride == parents * layout.arities[lvl])
+        return LastLevel::Direct;
+    return parents >= kPerTreeMinParents ? LastLevel::PerTree
+                                         : LastLevel::Staged;
+}
+
+/** sums[c] = XOR of nodes[j] over j < count with j % m == c. */
+void
+slotSums(const Block *nodes, size_t count, unsigned m, Block *sums)
+{
+    std::fill(sums, sums + m, Block::zero());
+    size_t j = 0;
+    for (; j + m <= count; j += m)
+        for (unsigned c = 0; c < m; ++c)
+            sums[c] ^= nodes[j + c];
+    for (unsigned c = 0; j + c < count; ++c)
+        sums[c] ^= nodes[j + c];
+}
+
+/** Kept children of a level: tree tr's at base + tr*stride. */
+struct LevelNodes
+{
+    Block *base;
+    size_t stride;
+};
+
+/**
+ * Expand level @p lvl of every tree from the tree-major parents in
+ * @p cur (layout.parents(lvl) per tree) and place each tree's
+ * layout.kept[lvl] children: compacted tree-major into @p next for an
+ * inner level, at leaves + tr*leaf_stride for the last one.
+ */
+LevelNodes
+expandLevel(crypto::SeedExpander &prg, const GgmSumLayout &layout,
+            size_t lvl, const Block *cur, size_t num_trees,
+            GgmBatchScratch &scratch, Block *next, Block *leaves,
+            size_t leaf_stride)
+{
+    const unsigned m = layout.arities[lvl];
+    const size_t parents = layout.parents(lvl);
+    const size_t kids = parents * m;
+    const size_t keep = layout.kept[lvl];
+
+    if (lvl + 1 < layout.arities.size()) {
+        // ONE expander call covers this level of every tree: the
+        // tree-major matrix is self-preserving under expansion.
+        prg.expand(cur, next, num_trees * parents, m);
+        // Drop each tree's children past its kept prefix, so the
+        // matrix stays contiguous for the next level's single call.
+        if (keep < kids)
+            for (size_t tr = 1; tr < num_trees; ++tr)
+                std::copy_n(next + tr * kids, keep, next + tr * keep);
+        return {next, keep};
+    }
+
+    switch (lastLevelOf(layout, leaf_stride)) {
+      case LastLevel::Direct:
+        prg.expand(cur, leaves, num_trees * parents, m);
+        break;
+      case LastLevel::PerTree: {
+        // Whole parents write straight into the tree's own range; the
+        // one parent straddling the width writes to the stage, and
+        // only its kept children are copied out.
+        const size_t whole = keep / m;
+        for (size_t tr = 0; tr < num_trees; ++tr) {
+            Block *out = leaves + tr * leaf_stride;
+            prg.expand(cur + tr * parents, out, whole, m);
+            if (whole < parents) {
+                prg.expand(cur + tr * parents + whole,
+                           scratch.tail.data(), 1, m);
+                std::copy_n(scratch.tail.data(), keep - whole * m,
+                            out + whole * m);
+            }
+        }
+        break;
+      }
+      case LastLevel::Staged:
+        prg.expand(cur, next, num_trees * parents, m);
+        for (size_t tr = 0; tr < num_trees; ++tr)
+            std::copy_n(next + tr * kids, keep, leaves + tr * leaf_stride);
+        break;
+    }
+    return {leaves, leaf_stride};
+}
+
+} // namespace
+
 void
 GgmBatchScratch::reserve(size_t trees, const GgmSumLayout &layout,
-                         bool staged_leaves)
+                         size_t leaf_stride)
 {
     const size_t num_levels = layout.arities.size();
-    // Non-final levels hold at most leaves/last_arity nodes per tree;
-    // a staged final level additionally ping-pongs the full leaf set.
-    size_t cap = num_levels >= 2 ? layout.leaves / layout.arities.back()
-                                 : 1;
-    if (staged_leaves)
-        cap = std::max(cap, layout.leaves);
+    // The matrices hold a level's uncompacted children: every inner
+    // level, plus the last one when it is staged.
+    size_t cap = 1;
+    for (size_t lvl = 0; lvl + 1 < num_levels; ++lvl)
+        cap = std::max(cap, layout.parents(lvl) * layout.arities[lvl]);
+    if (lastLevelOf(layout, leaf_stride) == LastLevel::Staged)
+        cap = std::max(cap, layout.parents(num_levels - 1) *
+                                layout.arities.back());
     const unsigned max_arity = *std::max_element(layout.arities.begin(),
                                                  layout.arities.end());
     if (ping.size() < trees * cap)
@@ -144,6 +285,8 @@ GgmBatchScratch::reserve(size_t trees, const GgmSumLayout &layout,
         seeds.resize(trees);
     if (acc.size() < max_arity)
         acc.resize(max_arity);
+    if (tail.size() < max_arity)
+        tail.resize(max_arity);
     if (digits.size() < trees * num_levels)
         digits.resize(trees * num_levels);
     if (holes.size() < trees)
@@ -158,46 +301,27 @@ ggmExpandBatchInto(crypto::SeedExpander &prg, const Block *seeds,
                    size_t sums_stride, Block *leaf_sums)
 {
     const size_t num_levels = layout.arities.size();
-    IRONMAN_CHECK(num_levels >= 1 && num_trees >= 1);
-    const bool staged = leaf_stride != layout.leaves;
-    scratch.reserve(num_trees, layout, staged);
+    IRONMAN_CHECK(num_levels >= 1 && num_trees >= 1 &&
+                  leaf_stride >= layout.width);
+    scratch.reserve(num_trees, layout, leaf_stride);
 
     std::copy(seeds, seeds + num_trees, scratch.seeds.data());
     const Block *cur = scratch.seeds.data();
     Block *pa = scratch.ping.data();
     Block *pb = scratch.pong.data();
-    size_t count = 1;
 
     for (size_t lvl = 0; lvl < num_levels; ++lvl) {
         const unsigned m = layout.arities[lvl];
-        const bool final_lvl = lvl + 1 == num_levels;
-        Block *next = final_lvl && !staged ? leaves
-                                           : (cur == pa ? pb : pa);
-        // ONE expander call covers this level of every tree: the
-        // tree-major matrix is self-preserving under expansion (seed
-        // i's children land at i*m .. i*m+m-1).
-        prg.expand(cur, next, num_trees * count, m);
-
-        for (size_t tr = 0; tr < num_trees; ++tr) {
-            Block *sums =
-                level_sums + tr * sums_stride + layout.offset[lvl];
-            const Block *kids = next + tr * count * m;
-            std::fill(sums, sums + m, Block::zero());
-            for (size_t j = 0; j < count; ++j)
-                for (unsigned c = 0; c < m; ++c)
-                    sums[c] ^= kids[j * m + c];
-        }
-
-        cur = next;
-        count *= m;
+        const LevelNodes kids =
+            expandLevel(prg, layout, lvl, cur, num_trees, scratch,
+                        cur == pa ? pb : pa, leaves, leaf_stride);
+        for (size_t tr = 0; tr < num_trees; ++tr)
+            slotSums(kids.base + tr * kids.stride, layout.kept[lvl], m,
+                     level_sums + tr * sums_stride + layout.offset[lvl]);
+        cur = kids.base;
     }
 
-    if (staged)
-        for (size_t tr = 0; tr < num_trees; ++tr)
-            std::copy_n(cur + tr * layout.leaves, layout.leaves,
-                        leaves + tr * leaf_stride);
-
-    // XOR of a tree's leaves == XOR of its final-level slot sums.
+    // XOR of a tree's kept leaves == XOR of its last-level slot sums.
     if (leaf_sums) {
         const size_t last = num_levels - 1;
         const unsigned m = layout.arities[last];
@@ -220,12 +344,12 @@ ggmReconstructBatchInto(crypto::SeedExpander &prg, const size_t *alphas,
                         size_t leaf_stride)
 {
     const size_t num_levels = layout.arities.size();
-    IRONMAN_CHECK(num_levels >= 1 && num_trees >= 1);
-    const bool staged = leaf_stride != layout.leaves;
-    scratch.reserve(num_trees, layout, staged);
+    IRONMAN_CHECK(num_levels >= 1 && num_trees >= 1 &&
+                  leaf_stride >= layout.width);
+    scratch.reserve(num_trees, layout, leaf_stride);
 
     for (size_t tr = 0; tr < num_trees; ++tr) {
-        IRONMAN_CHECK(alphas[tr] < layout.leaves);
+        IRONMAN_CHECK(alphas[tr] < layout.width);
         alphaDigitsInto(alphas[tr], layout.arities,
                         scratch.digits.data() + tr * num_levels);
         scratch.holes[tr] = 0;
@@ -241,48 +365,42 @@ ggmReconstructBatchInto(crypto::SeedExpander &prg, const size_t *alphas,
     Block *pa = scratch.ping.data();
     Block *pb = scratch.pong.data();
     Block *acc = scratch.acc.data();
-    size_t count = 1;
 
     for (size_t lvl = 0; lvl < num_levels; ++lvl) {
         const unsigned m = layout.arities[lvl];
-        const bool final_lvl = lvl + 1 == num_levels;
-        Block *next = final_lvl && !staged ? leaves
-                                           : (cur == pa ? pb : pa);
-        prg.expand(cur, next, num_trees * count, m);
+        const size_t keep = layout.kept[lvl];
+        const LevelNodes level =
+            expandLevel(prg, layout, lvl, cur, num_trees, scratch,
+                        cur == pa ? pb : pa, leaves, leaf_stride);
 
         for (size_t tr = 0; tr < num_trees; ++tr) {
             const unsigned digit =
                 scratch.digits[tr * num_levels + lvl];
             const size_t hole = scratch.holes[tr];
-            Block *kids = next + tr * count * m;
+            Block *kids = level.base + tr * level.stride;
+            // The path stays inside the kept prefix (alpha < width),
+            // but the hole's last children may fall past it.
+            const unsigned hole_kids =
+                unsigned(std::min<size_t>(m, keep - hole * m));
 
-            std::fill(acc, acc + m, Block::zero());
-            for (size_t j = 0; j < count; ++j) {
-                if (j == hole)
-                    continue;
-                for (unsigned c = 0; c < m; ++c)
-                    acc[c] ^= kids[j * m + c];
-            }
+            // Slot sums of the known children: all kept children,
+            // minus the hole's garbage ones.
+            slotSums(kids, keep, m, acc);
+            for (unsigned c = 0; c < hole_kids; ++c)
+                acc[c] ^= kids[hole * m + c];
 
-            // Recover the punctured parent's children at every slot
-            // except the path digit: child = K_c ^ (known slot-c sum).
+            // Recover the punctured parent's kept children at every
+            // slot except the path digit: child = K_c ^ (known sum).
             const Block *sums =
                 known_sums + tr * sums_stride + layout.offset[lvl];
-            for (unsigned c = 0; c < m; ++c)
+            for (unsigned c = 0; c < hole_kids; ++c)
                 kids[hole * m + c] =
                     c == digit ? Block::zero() : sums[c] ^ acc[c];
 
             scratch.holes[tr] = hole * m + digit;
         }
-
-        cur = next;
-        count *= m;
+        cur = level.base;
     }
-
-    if (staged)
-        for (size_t tr = 0; tr < num_trees; ++tr)
-            std::copy_n(cur + tr * layout.leaves, layout.leaves,
-                        leaves + tr * leaf_stride);
 }
 
 void
@@ -291,7 +409,9 @@ ggmReconstructInto(crypto::SeedExpander &prg, size_t alpha,
                    GgmScratch &scratch, Block *leaves)
 {
     const size_t num_levels = layout.arities.size();
-    IRONMAN_CHECK(num_levels >= 1 && alpha < layout.leaves);
+    IRONMAN_CHECK(num_levels >= 1 && alpha < layout.leaves &&
+                  layout.width == layout.leaves,
+                  "the single-tree path reconstructs full trees");
     constexpr size_t kMaxLevels = 64;
     IRONMAN_CHECK(num_levels <= kMaxLevels);
     unsigned digits[kMaxLevels];

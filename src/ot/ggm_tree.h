@@ -49,15 +49,37 @@ void alphaDigitsInto(size_t alpha, const std::vector<unsigned> &arities,
 /**
  * Flattened storage layout of the per-level slot sums: level i's
  * arities[i] sums live at [offset[i], offset[i] + arities[i]).
+ *
+ * A layout may keep only a prefix [0, width) of the leaves (a
+ * truncated tree, for a domain that is not a power of two). Level i
+ * then expands only the kept[i-1] nodes whose subtrees reach a kept
+ * leaf, keeps the first kept[i] = ceil(width / product of the arities
+ * below level i) children, and its slot sums cover only those. Kept
+ * nodes are the same GGM nodes as in the full tree, and every path to
+ * a kept leaf stays inside the kept prefix, so a puncture at
+ * alpha < width works unchanged. The default width is the full tree.
  */
 struct GgmSumLayout
 {
     std::vector<unsigned> arities; ///< per-level arities (MSD first)
     std::vector<uint32_t> offset;  ///< per-level start into the flat span
-    size_t leaves = 0;             ///< product of arities
+    std::vector<size_t> kept;      ///< per level: children kept per tree
+    size_t leaves = 0;             ///< product of arities (full tree)
+    size_t width = 0;              ///< kept leaves: the prefix [0, width)
     size_t total = 0;              ///< flat span length (sum of arities)
 
+    /** Full tree: width == leaves. */
     static GgmSumLayout of(const std::vector<unsigned> &arities);
+
+    /** Tree truncated to its first @p width leaves (1..leaves). */
+    static GgmSumLayout of(const std::vector<unsigned> &arities,
+                           size_t width);
+
+    /** Parents level @p lvl expands per tree (kept nodes above it). */
+    size_t parents(size_t lvl) const { return lvl ? kept[lvl - 1] : 1; }
+
+    /** PRG children one tree's expansion produces over all levels. */
+    size_t expandedNodes() const;
 };
 
 /**
@@ -78,7 +100,8 @@ struct GgmScratch
 };
 
 /**
- * Expand @p seed through the levels of @p layout.
+ * Expand @p seed through the levels of @p layout (a full-width
+ * layout; the per-tree reference of the batch paths).
  *
  * @param leaves Receives layout.leaves blocks (the tree leaves).
  * @param level_sums Receives layout.total blocks (the flattened K keys).
@@ -90,7 +113,8 @@ void ggmExpandInto(crypto::SeedExpander &prg, const Block &seed,
 
 /**
  * Reconstruct all leaves except @p alpha into @p leaves
- * (layout.leaves blocks; the entry at alpha is set to zero).
+ * (layout.leaves blocks; the entry at alpha is set to zero). Full-width
+ * layouts only, like ggmExpandInto().
  *
  * @param known_sums Flat span per @p layout; the entry at level i's
  *        punctured digit is ignored.
@@ -111,33 +135,42 @@ struct GgmBatchScratch
     std::vector<Block> pong;      ///< cross-tree level matrix
     std::vector<Block> seeds;     ///< gathered/zero root seeds
     std::vector<Block> acc;       ///< per-slot partial sums (max arity)
+    std::vector<Block> tail;      ///< one overshooting parent's children
     std::vector<unsigned> digits; ///< reconstruction: trees x levels
     std::vector<size_t> holes;    ///< reconstruction: per-tree hole path
 
     /**
-     * Pre-size for @p trees trees of @p layout. @p staged_leaves must
-     * be true when the final level cannot be written straight into the
-     * caller's span (leaf_stride != layout.leaves), which stages the
-     * last level in the ping-pong matrices too.
+     * Pre-size for @p trees trees of @p layout whose leaves are
+     * written @p leaf_stride blocks apart (the stride decides whether
+     * the last level is staged in the matrices; see
+     * ggmExpandBatchInto()).
      */
     void reserve(size_t trees, const GgmSumLayout &layout,
-                 bool staged_leaves);
+                 size_t leaf_stride);
 };
 
 /**
  * Level-synchronous expansion of @p num_trees trees through @p layout:
- * every level of the whole batch is ONE prg.expand() call over the
- * lane-contiguous cross-tree node matrix (the matrix layout is
- * self-preserving: seed i's children land at i*m..i*m+m-1, so
- * tree-major stays tree-major). Bit-identical to ggmExpandInto() per
- * tree.
+ * every inner level of the whole batch is ONE prg.expand() call over
+ * the lane-contiguous cross-tree node matrix (seed i's children land
+ * at i*m..i*m+m-1, so tree-major stays tree-major; a truncated layout
+ * then compacts each tree to its kept prefix). Tree tr's layout.width
+ * kept leaves go to leaves + tr*leaf_stride (leaf_stride >= width),
+ * and nothing is written outside that range. The last level is
+ * written:
+ *   - by one batched call straight into @p leaves when each tree's
+ *     children exactly fill leaf_stride (full trees at stride leaves);
+ *   - per tree straight into its range when each tree has at least a
+ *     SIMD batch of parents, the one parent that overshoots the width
+ *     going through a small stage (truncated engine trees);
+ *   - otherwise staged in the matrices and copied (the m-leaf mini
+ *     trees of the (m-1)-out-of-m OTs).
+ * Leaves are bit-identical to the first width leaves of
+ * ggmExpandInto() per tree.
  *
- * When @p leaf_stride == layout.leaves the final level is expanded
- * DIRECTLY into @p leaves (tree tr at leaves + tr*leaf_stride) — the
- * scatter-free LPN feed aliases this to the reserve segment; otherwise
- * the last level is staged and copied per tree.
- *
- * @param leaf_sums Receives each tree's XOR-of-leaves (num_trees
+ * @param level_sums Tree tr's layout.total slot sums (over kept nodes)
+ *        at level_sums + tr*sums_stride.
+ * @param leaf_sums Receives each tree's XOR of kept leaves (num_trees
  *        entries); may be nullptr.
  */
 void ggmExpandBatchInto(crypto::SeedExpander &prg, const Block *seeds,
@@ -147,15 +180,16 @@ void ggmExpandBatchInto(crypto::SeedExpander &prg, const Block *seeds,
                         size_t sums_stride, Block *leaf_sums);
 
 /**
- * Level-synchronous reconstruction of @p num_trees punctured trees:
- * one prg.expand() call per level over the cross-tree matrix (the
- * punctured node of each tree rides along as a zero seed whose
- * children are discarded and recovered from the known sums, so no
- * parent packing/unpacking pass is needed). Bit-identical leaf output
- * to ggmReconstructInto() per tree; tree tr's known sums are read at
- * known_sums + tr*sums_stride, its leaves written at
- * leaves + tr*leaf_stride (direct final-level expansion when
- * leaf_stride == layout.leaves, staged otherwise).
+ * Level-synchronous reconstruction of @p num_trees punctured trees
+ * (alphas[tr] < layout.width): one prg.expand() call per inner level
+ * over the cross-tree matrix (the punctured node of each tree rides
+ * along as a zero seed whose children are discarded and recovered
+ * from the known sums, so no parent packing/unpacking pass is
+ * needed). Tree tr's known sums are read at known_sums +
+ * tr*sums_stride and its kept leaves written at leaves +
+ * tr*leaf_stride with the entry at alpha zero, through the same
+ * last-level writers as ggmExpandBatchInto(). Bit-identical on the
+ * kept leaves to ggmReconstructInto() per tree.
  */
 void ggmReconstructBatchInto(crypto::SeedExpander &prg,
                              const size_t *alphas, size_t num_trees,

@@ -29,39 +29,30 @@ sameShape(const FerretParams &a, const FerretParams &b)
 } // namespace
 
 size_t
-OtWorkspace::requiredBlocks(const FerretParams &p, int leaf_slots,
-                            bool scatter_free)
+OtWorkspace::requiredBlocks(const FerretParams &p, int slots)
 {
-    if (scatter_free && scatterFreeFeed(p))
-        return size_t(leaf_slots) * p.t * p.treeLeaves();
-    return size_t(leaf_slots) * p.t * p.treeLeaves() + p.n;
+    return size_t(slots) * p.t * p.bucketSize();
 }
 
 void
-OtWorkspace::prepare(const FerretParams &p, int threads, int leaf_slots,
-                     bool scatter_free)
+OtWorkspace::prepare(const FerretParams &p, int threads, int slots)
 {
     threads = std::max(threads, 1);
-    leaf_slots = std::clamp(leaf_slots, 1, 2);
-    scatter_free = scatter_free && scatterFreeFeed(p);
+    slots = std::clamp(slots, 1, 2);
     if (ready && sameShape(preparedFor, p) &&
-        preparedThreads == threads && preparedSlots == leaf_slots &&
-        scatterFreeActive == scatter_free)
+        preparedThreads == threads && preparedSlots == slots)
         return;
 
     pool.resize(threads);
 
-    arena.reserve(requiredBlocks(p, leaf_slots, scatter_free));
-    leaf[0] = arena.alloc(p.t * p.treeLeaves());
-    leaf[1] = leaf_slots == 2 ? arena.alloc(p.t * p.treeLeaves())
+    // Every tree writes its kept leaves straight into its bucket's rows
+    // (invariant 11: a slot's rows may be encoded in place only after
+    // its transcript stage completed, and the other slot receives the
+    // next transcript).
+    arena.reserve(requiredBlocks(p, slots));
+    rows[0] = arena.alloc(p.t * p.bucketSize());
+    rows[1] = slots == 2 ? arena.alloc(p.t * p.bucketSize())
                               : nullptr;
-    // Scatter-free: every bucket is one whole tree (t*l >= n), so the
-    // leaf slots ARE the row vectors — no separate staging rows, no
-    // leaf -> rows pass (invariant 11: a slot's rows may be encoded in
-    // place only after its transcript stage completed, and the other
-    // slot receives the next transcript).
-    rows = scatter_free ? leaf[0] : arena.alloc(p.n);
-    scatterFreeActive = scatter_free;
 
     // The SPCOT workspace sizes itself per role on the first
     // spcotSend*/spcotRecv* call (still warm-up, and it avoids
@@ -72,7 +63,7 @@ OtWorkspace::prepare(const FerretParams &p, int threads, int leaf_slots,
     ready = true;
     preparedFor = p;
     preparedThreads = threads;
-    preparedSlots = leaf_slots;
+    preparedSlots = slots;
 }
 
 } // namespace ironman::ot

@@ -16,12 +16,15 @@
  * deterministic range partitions, so multi-threaded output is
  * bit-identical to single-threaded.
  *
- * For the pipelined engine the arena carves TWO leaf-matrix slots:
- * while iteration i's LPN encode reads the rows scattered from slot
- * (i mod 2), iteration i+1's SPCOT transcript expands into slot
- * (i+1 mod 2). The stage-handoff invariant (DESIGN.md invariant 10):
- * transcript slot N is never written while the LPN stage of slot N-1
- * is still reading buffers derived from it.
+ * The arena holds the LPN row vector itself: SPCOT writes tree tr's
+ * bucketSize() kept GGM leaves straight into rows [tr*bucket,
+ * (tr+1)*bucket), so a row slot of t*bucket >= n blocks IS the leaf
+ * matrix (DESIGN.md invariant 11; rows >= n are slack, never read).
+ * The pipelined sender carves TWO row slots: while iteration i's LPN
+ * encode runs in place on slot (i mod 2), iteration i+1's SPCOT
+ * transcript expands into slot (i+1 mod 2). The stage-handoff
+ * invariant (DESIGN.md invariant 10): transcript slot N is never
+ * written while the LPN stage of slot N-1 is still reading it.
  *
  * The workspace additionally holds the engine's precomputed LPN index
  * tape (the matrix is fixed by the public seed, so the index unpack
@@ -77,50 +80,26 @@ struct OtWorkspace
     static constexpr size_t kLpnTapeBytesCap = size_t(256) << 20;
 
     /**
-     * True when @p p supports the scatter-free LPN feed: every
-     * regular-noise bucket is exactly one whole GGM tree, so the
-     * t x l leaf matrix IS the first t*l rows of the LPN staging
-     * vector and SPCOT can expand/reconstruct straight into it.
-     */
-    static bool
-    scatterFreeFeed(const FerretParams &p)
-    {
-        return p.bucketSize() == p.treeLeaves();
-    }
-
-    /**
-     * Arena blocks one engine role needs for @p p. Copy-feed layout:
-     * @p leaf_slots t x l leaf matrices plus the n staging rows.
-     * Scatter-free layout (bucketSize() == treeLeaves() and
-     * @p scatter_free): the separate staging rows disappear —
-     * @p leaf_slots row-slots of t*l blocks each (>= n), and the leaf
-     * matrix of slot s ALIASES row-slot s. The pipelined sender keeps
+     * Arena blocks one engine role needs for @p p: @p slots row
+     * slots of t*bucketSize() blocks each. The pipelined sender keeps
      * two slots (iteration i's rows encode in place while iteration
-     * i+1's transcript expands into the other slot); the receiver
-     * needs one.
+     * i+1's transcript expands into the other); the receiver needs one.
      */
     static size_t requiredBlocks(const FerretParams &p,
-                                 int leaf_slots = 1,
-                                 bool scatter_free = false);
+                                 int slots = 1);
 
     /**
      * (Re)size everything for @p p and @p threads. Idempotent: a
      * second call with identical arguments does nothing, so the first
-     * extend() is the only warm-up. @p scatter_free requests the
-     * aliased arena layout (ignored unless scatterFreeFeed(p)).
+     * extend() is the only warm-up.
      */
-    void prepare(const FerretParams &p, int threads, int leaf_slots = 1,
-                 bool scatter_free = false);
-
-    /** True when prepare() selected the scatter-free (aliased) layout. */
-    bool scatterFree() const { return scatterFreeActive; }
+    void prepare(const FerretParams &p, int threads, int slots = 1);
 
     common::ThreadPool pool{1};
     BlockArena arena;
-    /// t x treeLeaves() slots; scatter-free: leaf[s] == rowSlot(s).
-    Block *leaf[2] = {nullptr, nullptr};
-    /// n staging rows (z / y); scatter-free: aliases leaf[0].
-    Block *rows = nullptr;
+    /// Row slots of t*bucketSize() blocks: the SPCOT leaves and the
+    /// LPN rows (z / y) in place; rows[1] only on the pipelined sender.
+    Block *rows[2] = {nullptr, nullptr};
 
     SpcotWorkspace spcot;
     std::vector<LpnEncodeScratch> lpn; ///< one per pool thread
@@ -133,7 +112,6 @@ struct OtWorkspace
 
   private:
     bool ready = false;
-    bool scatterFreeActive = false;
     FerretParams preparedFor;
     int preparedThreads = 0;
     int preparedSlots = 0;

@@ -35,8 +35,8 @@ SpcotShape::prepare(const SpcotConfig &config)
 {
     cfg = config;
     arities = treeArities(config.numLeaves, config.arity);
-    layout = GgmSumLayout::of(arities);
-    leaves = layout.leaves;
+    layout = GgmSumLayout::of(arities, config.keptLeaves());
+    width = layout.width;
 
     const size_t num_levels = arities.size();
     instOffset.assign(num_levels, 0);
@@ -123,11 +123,11 @@ SpcotWorkspace::prepare(const SpcotConfig &config, size_t num_trees,
             w.miniKnown.resize(std::max<size_t>(chunk * mini_total, 1));
             w.miniAlphaStage.resize(chunk);
         }
-        w.batch.reserve(chunk, shape.layout, /*staged_leaves=*/false);
+        w.batch.reserve(chunk, shape.layout, shape.width);
         for (size_t lvl = 0; lvl < shape.arities.size(); ++lvl)
             if (shape.miniIndex[lvl] >= 0)
                 w.miniBatch.reserve(chunk, shape.miniLayout[lvl],
-                                    /*staged_leaves=*/true);
+                                    shape.sumsPerTree);
     }
 
     ready = true;
@@ -178,12 +178,12 @@ spcotSendTranscript(net::Channel &ch, const SpcotConfig &cfg,
             const size_t cnt = std::min(SpcotWorkspace::kBatchTrees,
                                         hi - batch_base);
 
-            // All main trees of this chunk expand level-synchronously:
-            // ONE expander call per level, the final level writing
-            // straight into each tree's slot of the leaf span.
+            // All main trees of this chunk expand level-synchronously,
+            // the last level writing each tree's kept leaves straight
+            // into its slot of the leaf span.
             ggmExpandBatchInto(*wk.mainPrg, ws.seeds.data() + batch_base,
                                cnt, sh.layout, wk.batch,
-                               w + batch_base * sh.leaves, sh.leaves,
+                               w + batch_base * sh.width, sh.width,
                                wk.levelSums.data(), sh.layout.total,
                                wk.leafSums.data());
 
@@ -251,7 +251,7 @@ spcotSendTranscript(net::Channel &ch, const SpcotConfig &cfg,
                         ex[so + c] = sums[c] ^ pads[so + c];
                 }
 
-                // Final node recovery: Delta ^ XOR of all leaves
+                // Final node recovery: Delta ^ XOR of the kept leaves
                 // (step 4 of Fig. 3(b)).
                 ex[sh.extraPerTree - 1] = wk.leafSums[i] ^ delta;
             }
@@ -305,6 +305,7 @@ spcotRecvSendChoices(net::Channel &ch, const SpcotConfig &cfg,
     // Choice bits in traversal order: !digit for arity-2 levels,
     // !digit-bit for each mini level of wider ones.
     for (size_t tr = 0; tr < num_trees; ++tr) {
+        IRONMAN_CHECK(alphas[tr] < sh.width, "alpha outside kept leaves");
         unsigned *dg = slot.digits.data() + tr * num_levels;
         alphaDigitsInto(alphas[tr], sh.arities, dg);
         const size_t inst_base = tr * sh.cotsPerTree;
@@ -457,16 +458,15 @@ spcotRecvFinish(const SpcotConfig &cfg, size_t num_trees, const Block *t,
                                     slot.alphas.data() + batch_base, cnt,
                                     sh.layout, wk.knownSums.data(),
                                     sh.layout.total, wk.batch,
-                                    v + batch_base * sh.leaves,
-                                    sh.leaves);
+                                    v + batch_base * sh.width, sh.width);
 
-            // Final node recovery: v_alpha = (Delta ^ sum of all w) ^
-            // (sum of the leaves we know) = w_alpha ^ Delta.
+            // Final node recovery: v_alpha = (Delta ^ sum of kept w) ^
+            // (sum of the kept leaves we know) = w_alpha ^ Delta.
             for (size_t i = 0; i < cnt; ++i) {
                 const size_t tr = batch_base + i;
-                Block *leaves = v + tr * sh.leaves;
+                Block *leaves = v + tr * sh.width;
                 Block known_sum = Block::zero();
-                for (size_t j = 0; j < sh.leaves; ++j)
+                for (size_t j = 0; j < sh.width; ++j)
                     known_sum ^= leaves[j];
                 leaves[slot.alphas[tr]] =
                     slot.extra[tr * sh.extraPerTree + sh.extraPerTree -

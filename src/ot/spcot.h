@@ -3,9 +3,11 @@
  * Batched SPCOT (single-point correlated OT), Sec. 2.3.1 and 4 of the
  * paper.
  *
- * One SPCOT instance over a tree with l leaves gives:
- *   sender:   w_0..w_{l-1}  (the GGM leaves) and its global Delta
- *   receiver: alpha, v_0..v_{l-1}  with  w_j = v_j ^ (j==alpha)*Delta
+ * One SPCOT instance over a tree with l leaves, of which the first
+ * width are kept (width = l by default), gives:
+ *   sender:   w_0..w_{width-1}  (the kept GGM leaves) and its Delta
+ *   receiver: alpha < width, v_0..v_{width-1}  with
+ *             w_j = v_j ^ (j==alpha)*Delta
  *
  * Per tree level of arity m the receiver obtains all child-slot sums
  * except the one at its path digit:
@@ -71,13 +73,19 @@ struct SpcotConfig
     size_t numLeaves = 4096;                      ///< l (power of two)
     unsigned arity = 4;                           ///< m (power of two)
     crypto::PrgKind prg = crypto::PrgKind::ChaCha8;
+    /// Leaves kept per tree (a prefix; 0 = all numLeaves). The FERRET
+    /// engine keeps its bucket width, see GgmSumLayout.
+    size_t width = 0;
 
     bool
     operator==(const SpcotConfig &o) const
     {
         return numLeaves == o.numLeaves && arity == o.arity &&
-               prg == o.prg;
+               prg == o.prg && keptLeaves() == o.keptLeaves();
     }
+
+    /** Leaves each tree outputs: width, or numLeaves when 0. */
+    size_t keptLeaves() const { return width ? width : numLeaves; }
 
     /** Per-level arities (mixed radix; see treeArities()). */
     std::vector<unsigned> levelArities() const;
@@ -98,7 +106,7 @@ struct SpcotShape
     SpcotConfig cfg;
     std::vector<unsigned> arities;
     GgmSumLayout layout;              ///< main-tree level sums
-    size_t leaves = 0;
+    size_t width = 0;                 ///< kept leaves per tree (output stride)
     size_t cotsPerTree = 0;           ///< OT instances per tree
     size_t sumsPerTree = 0;           ///< masked sums (= tweaks) per tree
     size_t extraPerTree = 0;          ///< extra blocks per tree (sums + 1)
@@ -200,8 +208,8 @@ struct SpcotWorkspace
 
 /**
  * Sender side of a batched SPCOT over @p num_trees trees, writing tree
- * tr's leaves to w[tr*cfg.numLeaves ...] and pushing the whole
- * transcript. Zero heap allocation once @p ws is warm.
+ * tr's cfg.keptLeaves() leaves to w[tr*cfg.keptLeaves() ...] and
+ * pushing the whole transcript. Zero heap allocation once @p ws is warm.
  *
  * @param q Base-COT sender strings, num_trees*cotsPerTree() entries,
  *          consumed in traversal order (must mirror the receiver).
@@ -227,7 +235,7 @@ void spcotSendInto(net::Channel &ch, const SpcotConfig &cfg,
 
 /**
  * Receiver stage 1: derive the mixed-radix digits and chosen-OT
- * choices from @p alphas, send the derandomization bits (consuming
+ * choices from @p alphas (each < cfg.keptLeaves()), send the derandomization bits (consuming
  * base-COT choice bits b[b_offset ...]), and advance the shared tweak
  * counter. Records everything stage 3 needs in @p slot.
  */
@@ -245,8 +253,8 @@ void spcotRecvRecvTranscript(net::Channel &ch, const SpcotConfig &cfg,
 /**
  * Receiver stage 3: unmask the chosen-OT outputs with the base-COT
  * strings @p t (num_trees*cotsPerTree() entries), reconstruct every
- * punctured tree, and write tree tr's leaf vector to
- * v[tr*cfg.numLeaves ...].
+ * punctured tree, and write tree tr's cfg.keptLeaves() leaves to
+ * v[tr*cfg.keptLeaves() ...].
  */
 void spcotRecvFinish(const SpcotConfig &cfg, size_t num_trees,
                      const Block *t, common::ThreadPool &pool,

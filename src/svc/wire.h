@@ -43,7 +43,10 @@
 namespace ironman::svc {
 
 constexpr uint32_t kMagic = 0x49525356;  ///< "IRSV"
-constexpr uint16_t kWireVersion = 1;
+/// 2: kept-prefix GGM trees. The SPCOT sums and recovery blocks carry
+/// different values in the same bytes, so a version-1 peer is refused
+/// instead of silently pairing into wrong correlations.
+constexpr uint16_t kWireVersion = 2;
 
 /** The OT role the CLIENT plays; the server plays the opposite. */
 enum class Role : uint8_t

@@ -223,5 +223,106 @@ TEST(GgmOpsTest, OperationCountsMatchFig7Model)
     EXPECT_NEAR(double(rows[0].expect) / double(rows[3].expect), 6.0, 0.01);
 }
 
+// ---------------------------------------------------------------------------
+// Kept-prefix (truncated) trees
+// ---------------------------------------------------------------------------
+
+/** Every node of the full tree: levels[i] = level i's children. */
+std::vector<std::vector<Block>>
+naiveLevels(crypto::SeedExpander &prg, const Block &seed,
+            const std::vector<unsigned> &arities)
+{
+    std::vector<std::vector<Block>> levels;
+    std::vector<Block> cur{seed};
+    for (unsigned m : arities) {
+        std::vector<Block> next(cur.size() * m);
+        prg.expand(cur.data(), next.data(), cur.size(), m);
+        levels.push_back(next);
+        cur = std::move(next);
+    }
+    return levels;
+}
+
+/** Widths {1, m-1, m+1, l/2+1, l-1, l}, m the last level's arity. */
+std::vector<size_t>
+truncationWidths(const std::vector<unsigned> &arities)
+{
+    size_t leaves = 1;
+    for (unsigned a : arities)
+        leaves *= a;
+    const size_t m = arities.back();
+    return {1, m - 1, m + 1, leaves / 2 + 1, leaves - 1, leaves};
+}
+
+TEST(GgmTruncationTest, KeptCountsReachEveryKeptLeaf)
+{
+    // 2^20 engine tree: 4096 leaves, bucket 2545.
+    const GgmSumLayout l = GgmSumLayout::of(treeArities(4096, 4), 2545);
+    EXPECT_EQ(l.width, 2545u);
+    EXPECT_EQ(l.leaves, 4096u);
+    const std::vector<size_t> kept{3, 10, 40, 160, 637, 2545};
+    EXPECT_EQ(l.kept, kept);
+    EXPECT_EQ(l.expandedNodes(), 3404u);
+    EXPECT_EQ(GgmSumLayout::of(treeArities(4096, 4)).expandedNodes(),
+              5460u);
+    // Tiny engine tree: 1024 leaves, bucket 640.
+    EXPECT_EQ(GgmSumLayout::of(treeArities(1024, 4), 640).expandedNodes(),
+              856u);
+
+    // The default is the full tree, and a kept count is always the
+    // parents needed one level below.
+    const GgmSumLayout full = GgmSumLayout::of(treeArities(8192, 4));
+    EXPECT_EQ(full.width, full.leaves);
+    for (size_t lvl = 0; lvl + 1 < full.arities.size(); ++lvl)
+        EXPECT_EQ(full.parents(lvl + 1), full.kept[lvl]);
+}
+
+TEST(GgmTruncationTest, SlotSumsCoverExactlyTheKeptNodes)
+{
+    const std::vector<std::vector<unsigned>> shapes{
+        treeArities(64, 2),   treeArities(256, 4), treeArities(512, 8),
+        treeArities(128, 4),  // mixed [2, 4, 4, 4]
+        treeArities(1024, 8), // mixed [2, 8, 8, 8]
+        {4, 8, 8},            // mixed, wide bottom
+    };
+    for (const auto &arities : shapes)
+        for (size_t width : truncationWidths(arities)) {
+            const GgmSumLayout layout = GgmSumLayout::of(arities, width);
+            auto ref_prg = crypto::makeTreeExpander(PrgKind::ChaCha8, 8);
+            const Block seed = Block::fromUint64(width * 131 + 7);
+            const auto levels = naiveLevels(*ref_prg, seed, arities);
+
+            auto prg = crypto::makeTreeExpander(PrgKind::ChaCha8, 8);
+            GgmBatchScratch scratch;
+            std::vector<Block> leaves(width);
+            std::vector<Block> sums(layout.total);
+            Block leaf_sum;
+            ggmExpandBatchInto(*prg, &seed, 1, layout, scratch,
+                               leaves.data(), width, sums.data(),
+                               layout.total, &leaf_sum);
+
+            size_t below = layout.leaves;
+            Block kept_leaves = Block::zero();
+            for (size_t lvl = 0; lvl < arities.size(); ++lvl) {
+                const unsigned m = arities[lvl];
+                below /= m;
+                const size_t kept = (width + below - 1) / below;
+                ASSERT_EQ(layout.kept[lvl], kept);
+                std::vector<Block> expect(m, Block::zero());
+                for (size_t j = 0; j < kept; ++j)
+                    expect[j % m] ^= levels[lvl][j];
+                for (unsigned c = 0; c < m; ++c)
+                    EXPECT_EQ(sums[layout.offset[lvl] + c], expect[c])
+                        << "width " << width << " level " << lvl
+                        << " slot " << c;
+            }
+            for (size_t j = 0; j < width; ++j) {
+                ASSERT_EQ(leaves[j], levels.back()[j]) << "leaf " << j;
+                kept_leaves ^= levels.back()[j];
+            }
+            EXPECT_EQ(leaf_sum, kept_leaves);
+        }
+}
+
 } // namespace
 } // namespace ironman::ot

@@ -131,6 +131,9 @@ TEST(InferWireTest, RejectsStructurallyBadHellos)
     reject([](InferHello &h) { h.depth = 0; }, InferStatus::BadDepth);
     reject([](InferHello &h) { h.version = 7; },
            InferStatus::BadVersion);
+    // v2 differs from v3 only in its engines' full-tree SPCOT values.
+    reject([](InferHello &h) { h.version = 2; },
+           InferStatus::BadVersion);
     reject([](InferHello &h) { h.params.k = h.params.n; },
            InferStatus::BadParams);
     reject(

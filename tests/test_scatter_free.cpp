@@ -1,12 +1,12 @@
 /**
  * @file
- * Scatter-free LPN feed tests (invariant 11 of DESIGN.md): on a
- * parameter set with bucketSize() == treeLeaves(), engines write the
- * GGM leaves straight into the LPN row vector. The outputs must be
- * bit-identical to the copying feed for equal RNG seeds, in both
- * pipelined and unpipelined mode and under either feed on either
- * party (the feed is a local layout decision, not a protocol change),
- * and the aliased arena layout must hold.
+ * Aliased LPN feed tests (invariant 11 of DESIGN.md): every engine
+ * keeps bucketSize() leaves of each GGM tree and writes them straight
+ * into the bucket's LPN rows, so a row slot of t*bucket >= n blocks IS
+ * the leaf matrix and no leaf -> row copy exists. The rows past n are
+ * slack that nothing encodes or outputs, and the outputs are
+ * bit-identical to the full-tree engine: the golden hashes below were
+ * recorded from the full-tree engine with its copying feed.
  */
 
 #include <gtest/gtest.h>
@@ -30,8 +30,8 @@ struct RunOutput
 };
 
 RunOutput
-runPair(const FerretParams &p, bool pipelined, bool sender_sf,
-        bool receiver_sf, int iterations, uint64_t seed)
+runPair(const FerretParams &p, bool pipelined, int threads,
+        int iterations, uint64_t seed)
 {
     Rng dealer(seed);
     RunOutput out;
@@ -46,7 +46,7 @@ runPair(const FerretParams &p, bool pipelined, bool sender_sf,
         [&](net::Channel &ch) {
             FerretCotSender sender(ch, p, out.delta, std::move(bs.q));
             sender.setPipelined(pipelined);
-            sender.setScatterFree(sender_sf);
+            sender.setThreads(threads);
             Rng rng(seed + 1);
             for (int it = 0; it < iterations; ++it)
                 sender.extendInto(rng, out.q.data() + it * usable);
@@ -55,7 +55,7 @@ runPair(const FerretParams &p, bool pipelined, bool sender_sf,
             FerretCotReceiver receiver(ch, p, std::move(br.choice),
                                        std::move(br.t));
             receiver.setPipelined(pipelined);
-            receiver.setScatterFree(receiver_sf);
+            receiver.setThreads(threads);
             Rng rng(seed + 2);
             BitVec c;
             for (int it = 0; it < iterations; ++it) {
@@ -69,81 +69,107 @@ runPair(const FerretParams &p, bool pipelined, bool sender_sf,
 }
 
 void
-expectEqualAndValid(const RunOutput &a, const RunOutput &b)
+expectValid(const RunOutput &r)
 {
-    EXPECT_EQ(a.q, b.q);
-    EXPECT_EQ(a.t, b.t);
-    EXPECT_EQ(a.choice, b.choice);
-    for (size_t i = 0; i < a.q.size(); ++i)
-        ASSERT_EQ(a.t[i],
-                  a.q[i] ^ scalarMul(a.choice.get(i), a.delta))
+    ASSERT_EQ(r.q.size(), r.t.size());
+    ASSERT_EQ(r.choice.size(), r.q.size());
+    for (size_t i = 0; i < r.q.size(); ++i)
+        ASSERT_EQ(r.t[i], r.q[i] ^ scalarMul(r.choice.get(i), r.delta))
             << "index " << i;
 }
 
-TEST(ScatterFreeTest, AlignedParamsSelectTheFeed)
+/** FNV-1a over the outputs of one run (q, t, then the choice bits). */
+uint64_t
+outputHash(const RunOutput &r)
 {
-    EXPECT_FALSE(OtWorkspace::scatterFreeFeed(tinyTestParams()));
-    FerretParams p = tinyAlignedParams();
-    EXPECT_EQ(p.bucketSize(), p.treeLeaves());
-    EXPECT_TRUE(OtWorkspace::scatterFreeFeed(p));
-    // Every Table-4 bucket is narrower than its (bit_ceil) tree, so
-    // the paper sets stay on the copying feed.
-    for (const FerretParams &paper : allPaperParamSets())
-        EXPECT_FALSE(OtWorkspace::scatterFreeFeed(paper)) << paper.name;
+    uint64_t h = 0xcbf29ce484222325ULL;
+    auto mix = [&](uint64_t w) {
+        for (int i = 0; i < 8; ++i) {
+            h ^= (w >> (8 * i)) & 0xff;
+            h *= 0x100000001b3ULL;
+        }
+    };
+    for (const Block &b : r.q) {
+        mix(b.lo);
+        mix(b.hi);
+    }
+    for (const Block &b : r.t) {
+        mix(b.lo);
+        mix(b.hi);
+    }
+    for (size_t i = 0; i < r.choice.size(); ++i)
+        mix(r.choice.get(i));
+    return h;
 }
 
-TEST(ScatterFreeTest, MatchesCopyingFeedUnpipelined)
+TEST(ScatterFreeTest, RowSlotsCoverEveryLpnRow)
 {
-    const FerretParams p = tinyAlignedParams();
-    RunOutput sf = runPair(p, false, true, true, 2, 8100);
-    RunOutput copy = runPair(p, false, false, false, 2, 8100);
-    expectEqualAndValid(sf, copy);
+    // Uniform width: every tree keeps one bucket, so the slack rows
+    // [n, t*bucket) all sit in the last bucket.
+    for (const FerretParams &p : allPaperParamSets()) {
+        const size_t rows = p.t * p.bucketSize();
+        EXPECT_GE(rows, p.n) << p.name;
+        EXPECT_LT(rows - p.n, p.bucketSize()) << p.name;
+    }
+    EXPECT_EQ(paperParamSet(20).t * paperParamSet(20).bucketSize() -
+                  paperParamSet(20).n,
+              84u);
+    EXPECT_EQ(tinyTestParams().t * tinyTestParams().bucketSize(),
+              tinyTestParams().n);
+    EXPECT_EQ(tinyAlignedParams().t * tinyAlignedParams().bucketSize(),
+              tinyAlignedParams().n);
 }
 
-TEST(ScatterFreeTest, MatchesCopyingFeedPipelined)
+TEST(ScatterFreeTest, ArenaAliasesLeavesOntoRowSlots)
 {
-    const FerretParams p = tinyAlignedParams();
-    RunOutput sf = runPair(p, true, true, true, 3, 8200);
-    RunOutput copy = runPair(p, true, false, false, 3, 8200);
-    expectEqualAndValid(sf, copy);
+    for (const FerretParams &p : {tinyTestParams(), paperParamSet(20)}) {
+        const size_t slot = p.t * p.bucketSize();
+
+        // Pipelined sender: two row slots, back to back, and nothing
+        // else — no separate leaf matrices, no staging rows.
+        OtWorkspace two;
+        two.prepare(p, 1, /*slots=*/2);
+        EXPECT_EQ(two.arena.capacity(), OtWorkspace::requiredBlocks(p, 2));
+        EXPECT_EQ(two.arena.capacity(), 2 * slot) << p.name;
+        ASSERT_NE(two.rows[1], nullptr);
+        EXPECT_EQ(size_t(two.rows[1] - two.rows[0]), slot) << p.name;
+
+        // Receiver / unpipelined sender: one slot.
+        OtWorkspace one;
+        one.prepare(p, 1, 1);
+        EXPECT_EQ(one.arena.capacity(), slot) << p.name;
+        EXPECT_EQ(one.rows[1], nullptr);
+    }
 }
 
-TEST(ScatterFreeTest, FeedIsALocalDecision)
+/**
+ * Golden outputs of 3 extensions (1 at 2^20) per mode, recorded from
+ * the full-tree engine with its leaf -> row copy. Pipelined and
+ * unpipelined runs share a hash (invariant 10), and so do 1 and 2
+ * worker threads (invariant 9), so the row-slot handoff of the
+ * pipelined engine is covered too.
+ */
+TEST(ScatterFreeTest, GoldenOutputsOfTheFullTreeEngine)
 {
-    // Mixed feeds across the two parties produce the same transcript
-    // and outputs — the wire format cannot depend on the feed.
-    const FerretParams p = tinyAlignedParams();
-    RunOutput mixed = runPair(p, true, true, false, 2, 8300);
-    RunOutput copy = runPair(p, true, false, false, 2, 8300);
-    expectEqualAndValid(mixed, copy);
-}
-
-TEST(ScatterFreeTest, ArenaAliasesRowsOntoLeafSlots)
-{
-    const FerretParams p = tinyAlignedParams();
-
-    OtWorkspace sf;
-    sf.prepare(p, 1, /*leaf_slots=*/2, /*scatter_free=*/true);
-    EXPECT_TRUE(sf.scatterFree());
-    EXPECT_EQ(sf.arena.capacity(),
-              OtWorkspace::requiredBlocks(p, 2, true));
-    EXPECT_EQ(sf.arena.capacity(), 2 * p.t * p.treeLeaves());
-    EXPECT_EQ(sf.rows, sf.leaf[0]) << "rows must alias leaf slot 0";
-    ASSERT_GE(p.t * p.treeLeaves(), p.n)
-        << "aliased slots must cover every LPN row";
-
-    // The copying layout keeps its separate staging rows.
-    OtWorkspace copy;
-    copy.prepare(p, 1, 2, /*scatter_free=*/false);
-    EXPECT_FALSE(copy.scatterFree());
-    EXPECT_EQ(copy.arena.capacity(),
-              OtWorkspace::requiredBlocks(p, 2, false));
-    EXPECT_NE(copy.rows, copy.leaf[0]);
-
-    // Non-aligned params ignore the request.
-    OtWorkspace tiny;
-    tiny.prepare(tinyTestParams(), 1, 1, /*scatter_free=*/true);
-    EXPECT_FALSE(tiny.scatterFree());
+    struct Case
+    {
+        FerretParams p;
+        int iterations;
+        uint64_t hash;
+    };
+    const Case cases[] = {
+        {tinyTestParams(), 3, 0x98112e1bd1897646ULL},
+        {tinyAlignedParams(), 3, 0xba598086f27f5badULL},
+        {paperParamSet(20), 1, 0x89e784375714b636ULL},
+    };
+    for (const Case &c : cases)
+        for (bool pipelined : {false, true}) {
+            const RunOutput r = runPair(c.p, pipelined, pipelined ? 2 : 1,
+                                        c.iterations, 9100);
+            expectValid(r);
+            EXPECT_EQ(outputHash(r), c.hash)
+                << c.p.name << (pipelined ? " pipelined" : " unpipelined");
+        }
 }
 
 } // namespace

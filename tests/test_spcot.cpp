@@ -2,8 +2,10 @@
  * @file
  * SPCOT protocol tests: after one batched execution,
  * w[tree] = v[tree] except at alpha where w = v ^ Delta (invariant 2
- * of DESIGN.md), across arities, PRGs and tree sizes. Runs through
- * the workspace entry points (spcotSendInto / spcotRecvInto).
+ * of DESIGN.md), across arities, PRGs and tree sizes, and on
+ * kept-prefix trees that write each tree's width leaves straight into
+ * its own range. Runs through the workspace entry points
+ * (spcotSendInto / spcotRecvInto).
  */
 
 #include <gtest/gtest.h>
@@ -38,7 +40,7 @@ runSend(net::Channel &ch, const SpcotConfig &cfg, size_t trees,
     common::ThreadPool pool(1);
     SpcotWorkspace ws;
     FlatSend out;
-    out.w.resize(trees * cfg.numLeaves);
+    out.w.resize(trees * cfg.keptLeaves());
     spcotSendInto(ch, cfg, trees, delta, q, rng, tweak, pool, ws,
                   out.w.data(), &out.prgOps);
     return out;
@@ -52,7 +54,7 @@ runRecv(net::Channel &ch, const SpcotConfig &cfg,
     common::ThreadPool pool(1);
     SpcotWorkspace ws;
     FlatRecv out;
-    out.v.resize(alphas.size() * cfg.numLeaves);
+    out.v.resize(alphas.size() * cfg.keptLeaves());
     spcotRecvInto(ch, cfg, alphas.size(), alphas.data(), b, b_offset, t,
                   tweak, pool, ws, out.v.data(), nullptr);
     return out;
@@ -221,6 +223,78 @@ TEST(SpcotTest, ChaCha4aryUsesFewerPrgOpsThanAes2ary)
     uint64_t chacha4 = run(PrgKind::ChaCha8, 4);
     // Mini trees add a small overhead on top of the main-tree 6x.
     EXPECT_GT(double(aes2) / double(chacha4), 5.0);
+}
+
+TEST(SpcotTest, KeptWidthTreesFillOnlyTheirBucketsAtTheEngineShape)
+{
+    // The 2^20 engine shape: 480 4-ary trees of 4096 leaves keep 2545
+    // each, written back to back by 3 pool workers per party. Every
+    // tree must stay inside its bucket, match the full tree's first
+    // 2545 leaves, and send exactly the full tree's byte count.
+    constexpr size_t kTrees = 480;
+    constexpr size_t kGuard = 64;
+    constexpr int kThreads = 3;
+    SpcotConfig full;
+    full.numLeaves = 4096;
+    full.arity = 4;
+    SpcotConfig kept = full;
+    kept.width = 2545;
+    ASSERT_FALSE(kept == full);
+
+    Rng dealer(500);
+    const Block delta = dealer.nextBlock();
+    auto [cs, cr] =
+        dealBaseCots(dealer, delta, kTrees * full.cotsPerTree());
+    Rng alpha_rng(501);
+    std::vector<size_t> alphas(kTrees);
+    for (auto &a : alphas)
+        a = alpha_rng.nextBelow(kept.width);
+    alphas[0] = 0;
+    alphas[kTrees - 1] = kept.width - 1;
+
+    auto run = [&](const SpcotConfig &cfg, std::vector<Block> &w,
+                   std::vector<Block> &v) {
+        const size_t rows = kTrees * cfg.keptLeaves();
+        w.assign(rows + kGuard, Block::ones());
+        v.assign(rows + kGuard, Block::ones());
+        return net::runTwoParty(
+            [&](net::Channel &ch) {
+                common::ThreadPool pool(kThreads);
+                SpcotWorkspace ws;
+                Rng rng(502);
+                uint64_t tweak = 1;
+                spcotSendInto(ch, cfg, kTrees, delta, cs.q.data(), rng,
+                              tweak, pool, ws, w.data(), nullptr);
+            },
+            [&](net::Channel &ch) {
+                common::ThreadPool pool(kThreads);
+                SpcotWorkspace ws;
+                uint64_t tweak = 1;
+                spcotRecvInto(ch, cfg, kTrees, alphas.data(), cr.choice,
+                              0, cr.t.data(), tweak, pool, ws, v.data(),
+                              nullptr);
+            });
+    };
+
+    std::vector<Block> w, v, w_full, v_full;
+    const auto wire = run(kept, w, v);
+    const auto wire_full = run(full, w_full, v_full);
+    EXPECT_EQ(wire.totalBytes, wire_full.totalBytes);
+    EXPECT_EQ(wire.turns, wire_full.turns);
+
+    const size_t width = kept.width;
+    for (size_t tr = 0; tr < kTrees; ++tr)
+        for (size_t j = 0; j < width; ++j) {
+            const size_t row = tr * width + j;
+            ASSERT_EQ(w[row], w_full[tr * full.numLeaves + j])
+                << "tree " << tr << " leaf " << j;
+            ASSERT_EQ(v[row], j == alphas[tr] ? w[row] ^ delta : w[row])
+                << "tree " << tr << " leaf " << j;
+        }
+    for (size_t g = 0; g < kGuard; ++g) {
+        ASSERT_EQ(w[kTrees * width + g], Block::ones());
+        ASSERT_EQ(v[kTrees * width + g], Block::ones());
+    }
 }
 
 } // namespace

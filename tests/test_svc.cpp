@@ -108,6 +108,17 @@ TEST(SvcWireTest, RejectsBadMagicAndVersion)
         Hello got;
         EXPECT_EQ(recvHello(duplex.b(), &got), Status::BadVersion);
     }
+    {
+        // A version-1 peer expands full GGM trees: same byte counts,
+        // different SPCOT sums, so it must be refused, not paired.
+        net::MemoryDuplex duplex;
+        Hello h;
+        h.version = 1;
+        h.params = WireParams::of(ot::tinyTestParams());
+        sendHello(duplex.a(), h);
+        Hello got;
+        EXPECT_EQ(recvHello(duplex.b(), &got), Status::BadVersion);
+    }
 }
 
 TEST(SvcWireTest, RejectsHostileParams)

@@ -202,7 +202,7 @@ TEST(SvcPoolAllocTest, SessionTurnoverIsAllocationFree)
     expectPooledSessionsAllocationFree(ot::tinyTestParams());
 }
 
-TEST(SvcPoolAllocTest, ScatterFreeSessionTurnoverIsAllocationFree)
+TEST(SvcPoolAllocTest, FullWidthSessionTurnoverIsAllocationFree)
 {
     expectPooledSessionsAllocationFree(ot::tinyAlignedParams());
 }

@@ -184,11 +184,11 @@ TEST(WorkspaceEngineTest, ExtendIsAllocationFreeAfterWarmup)
     expectAllocationFreeAfterWarmup(tinyTestParams());
 }
 
-TEST(WorkspaceEngineTest, ScatterFreeExtendIsAllocationFreeAfterWarmup)
+TEST(WorkspaceEngineTest, FullWidthExtendIsAllocationFreeAfterWarmup)
 {
-    // bucketSize() == treeLeaves(): the engines take the scatter-free
-    // LPN feed (aliased arena, cross-tree expansion straight into the
-    // row slots) — which must be just as allocation-free once warm.
+    // bucketSize() == treeLeaves(): every tree is kept whole, so the
+    // last GGM level takes the one-call batched write instead of the
+    // per-tree one — which must be just as allocation-free once warm.
     expectAllocationFreeAfterWarmup(tinyAlignedParams());
 }
 
@@ -272,24 +272,21 @@ TEST(WorkspaceEngineTest, ArenaSizedOnceFromParams)
     EXPECT_EQ(ws.arena.capacity(), OtWorkspace::requiredBlocks(p));
     EXPECT_EQ(ws.arena.used(), ws.arena.capacity())
         << "the arena is carved exactly, no slack";
-    ASSERT_NE(ws.leaf[0], nullptr);
-    EXPECT_EQ(ws.leaf[1], nullptr) << "one slot unless pipelined sender";
-    ASSERT_NE(ws.rows, nullptr);
+    ASSERT_NE(ws.rows[0], nullptr);
+    EXPECT_EQ(ws.rows[1], nullptr) << "one slot unless pipelined sender";
 
     // prepare() is idempotent: same params, same carving.
-    Block *leaf0 = ws.leaf[0];
-    Block *rows = ws.rows;
+    Block *rows0 = ws.rows[0];
     ws.prepare(p, 2);
-    EXPECT_EQ(ws.leaf[0], leaf0);
-    EXPECT_EQ(ws.rows, rows);
+    EXPECT_EQ(ws.rows[0], rows0);
 
-    // The pipelined sender double-buffers the leaf matrix.
+    // The pipelined sender double-buffers the row slot.
     OtWorkspace ws2;
-    ws2.prepare(p, 2, /*leaf_slots=*/2);
+    ws2.prepare(p, 2, /*slots=*/2);
     EXPECT_EQ(ws2.arena.capacity(), OtWorkspace::requiredBlocks(p, 2));
-    ASSERT_NE(ws2.leaf[1], nullptr);
-    EXPECT_EQ(size_t(ws2.leaf[1] - ws2.leaf[0]),
-              p.t * p.treeLeaves());
+    ASSERT_NE(ws2.rows[1], nullptr);
+    EXPECT_EQ(size_t(ws2.rows[1] - ws2.rows[0]),
+              p.t * p.bucketSize());
 }
 
 // ---------------------------------------------------------------------------
