@@ -28,11 +28,14 @@
  *     at width 8, and the packed mlp-16x8x4@32 row under an absolute
  *     bytes/image ceiling,
  *   - depth-8 batch-1 >= 0.8x the depth-1 batch-8 throughput on
- *     loopback, and STRICTLY faster on every simulated-latency row.
+ *     loopback, and STRICTLY faster on every simulated-latency row,
+ *     each compared on the median of 3 interleaved repetitions.
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -80,6 +83,38 @@ struct Row
     double bandwidthMbps = 0;
     bool bitIdentical = true;
 };
+
+/** Repetitions behind every throughput sentinel's median. */
+constexpr size_t kSentinelReps = 3;
+
+/**
+ * Runs each of @p runs kSentinelReps times, interleaved (every run
+ * once, then again), and returns per run its median-throughput row.
+ * bitIdentical is AND-ed over all repetitions, so a mismatch in any of
+ * them still fails. Sentinels that compare two rows then compare
+ * medians, not single shots, which one noisy neighbour can flip.
+ */
+std::vector<Row>
+interleavedMedians(const std::vector<std::function<Row()>> &runs)
+{
+    std::vector<std::vector<Row>> reps(runs.size());
+    for (size_t rep = 0; rep < kSentinelReps; ++rep)
+        for (size_t i = 0; i < runs.size(); ++i)
+            reps[i].push_back(runs[i]());
+    std::vector<Row> medians;
+    for (std::vector<Row> &rows : reps) {
+        bool identical = true;
+        for (const Row &r : rows)
+            identical &= r.bitIdentical;
+        std::sort(rows.begin(), rows.end(),
+                  [](const Row &a, const Row &b) {
+                      return a.imagesPerSec < b.imagesPerSec;
+                  });
+        medians.push_back(rows[rows.size() / 2]);
+        medians.back().bitIdentical = identical;
+    }
+    return medians;
+}
 
 struct ServedCfg
 {
@@ -368,28 +403,23 @@ main()
         std::printf("\n%s w%u pipelining, %zu images, loopback\n",
                     spec.name.c_str(), width, images);
         printHeader();
-        // Best of two runs per row: loopback throughput at this scale
-        // is noisy (refill threads share the cores with the online
-        // phase) and the sentinel compares the two rows against each
-        // other.
-        auto best = [&](const std::vector<std::vector<int64_t>> &rq,
-                        uint32_t b, uint16_t d, const char *path) {
-            Row r1 = runServed(spec, width, b, params, rq,
-                               grouped.outputs,
-                               {path, true, true, d, 0});
-            const Row r2 = runServed(spec, width, b, params, rq,
-                                     grouped.outputs,
-                                     {path, true, true, d, 0});
-            r1.bitIdentical &= r2.bitIdentical;
-            if (r2.imagesPerSec > r1.imagesPerSec) {
-                const bool id = r1.bitIdentical;
-                r1 = r2;
-                r1.bitIdentical = id;
-            }
-            return r1;
-        };
-        const Row wide = best(reqs8, depth, 1, "depth-1 batch-8");
-        const Row deep = best(reqs1, 1, depth, "depth-8 batch-1");
+        // Loopback throughput at this scale is noisy (refill threads
+        // share the cores with the online phase) and the sentinel
+        // compares the two rows against each other: medians.
+        const std::vector<Row> ab = interleavedMedians({
+            [&] {
+                return runServed(spec, width, depth, params, reqs8,
+                                 grouped.outputs,
+                                 {"depth-1 batch-8", true, true, 1, 0});
+            },
+            [&] {
+                return runServed(spec, width, 1, params, reqs1,
+                                 grouped.outputs,
+                                 {"depth-8 batch-1", true, true, depth, 0});
+            },
+        });
+        const Row &wide = ab[0];
+        const Row &deep = ab[1];
         for (const Row *row : {&wide, &deep}) {
             emitRow(json, spec.name, images, *row);
             all_identical &= row->bitIdentical;
@@ -415,15 +445,31 @@ main()
                         spec.name.c_str(), width, images, link,
                         double(rtt_us) / 1000.0);
             printHeader();
-            const Row lwide = runServed(
-                spec, width, depth, params, reqs8, grouped.outputs,
-                {std::string("depth-1 batch-8 ") + link, true, true, 1,
-                 rtt_us});
-            const Row ldeep = runServed(
-                spec, width, 1, params, reqs1, grouped.outputs,
-                {std::string("depth-8 batch-1 ") + link, true, true,
-                 depth, rtt_us});
-            for (const Row *row : {&lwide, &ldeep}) {
+            const std::vector<Row> lab = interleavedMedians({
+                [&] {
+                    return runServed(
+                        spec, width, depth, params, reqs8,
+                        grouped.outputs,
+                        {std::string("depth-1 batch-8 ") + link, true,
+                         true, 1, rtt_us});
+                },
+                [&] {
+                    return runServed(
+                        spec, width, 1, params, reqs1, grouped.outputs,
+                        {std::string("depth-8 batch-1 ") + link, true,
+                         true, depth, rtt_us});
+                },
+                [&] {
+                    return runServed(
+                        spec, width, 1, params, reqs1, seq1.outputs,
+                        {std::string("depth-1 batch-1 ") + link, true,
+                         true, 1, rtt_us});
+                },
+            });
+            const Row &lwide = lab[0];
+            const Row &ldeep = lab[1];
+            const Row &lone = lab[2];
+            for (const Row *row : {&lwide, &ldeep, &lone}) {
                 emitRow(json, spec.name, images, *row);
                 all_identical &= row->bitIdentical;
             }
@@ -438,12 +484,6 @@ main()
                             lwide.imagesPerSec);
                 sentinels_ok = false;
             }
-            const Row lone = runServed(
-                spec, width, 1, params, reqs1, seq1.outputs,
-                {std::string("depth-1 batch-1 ") + link, true, true, 1,
-                 rtt_us});
-            emitRow(json, spec.name, images, lone);
-            all_identical &= lone.bitIdentical;
             if (ldeep.imagesPerSec <= lone.imagesPerSec) {
                 std::printf("BENCH-SMOKE: FAIL — %s pipelining not "
                             "strictly faster: depth-8 %.1f img/s vs "

@@ -5,8 +5,9 @@
  *   SPCOT expand — t GGM tree expansions (PRG-bound),
  *   CRHF         — every MMO hash of one extension (chosen-OT pads,
  *                  unmask pads, mini-leaf pads), batched vs scalar,
- *   LPN          — the n-row gather-XOR, streaming (per-extension AES
- *                  index generation) vs precomputed tape + SIMD,
+ *   LPN          — the n-row gather-XOR (block and bit), streaming
+ *                  (per-extension AES index generation) vs precomputed
+ *                  tape + SIMD vs the tape's forced-scalar kernel,
  *   wire         — measured transcript bytes, converted to LAN/WAN
  *                  seconds with the analytic NetworkModel.
  *
@@ -14,7 +15,7 @@
  * at 1 and 2 threads per party. The GGM rows put the full tree next to
  * the engine's kept width (bucketSize() leaves per tree), in cycles
  * and in PRG outputs per extension. Cycles are TSC ticks on x86
- * (calibrated against the wall clock so the printed cycles/unit are
+ * (scaled against the wall clock so the printed cycles/unit are
  * meaningful on this host); elsewhere the cycle columns fall back to
  * nanoseconds.
  *
@@ -59,7 +60,7 @@ ticks()
 #endif
 }
 
-/** TSC ticks per second (calibrated once). */
+/** TSC ticks per second (measured once against the wall clock). */
 double
 ticksPerSecond()
 {
@@ -306,52 +307,21 @@ main()
         double taped = measureCycles(3, [&] {
             enc.encodeBlocksTape(in.data(), rows.data(), 0, lp.n, tape);
         });
-        auto taped_with = [&](LpnKernel k, bool prefetch) {
-            LpnEncoder::setKernel(k);
-            LpnEncoder::setPrefetch(prefetch);
-            double c = measureCycles(5, [&] {
-                enc.encodeBlocksTape(in.data(), rows.data(), 0, lp.n,
-                                     tape);
-            });
-            LpnEncoder::setKernel(LpnKernel::Auto);
-            LpnEncoder::setPrefetchAuto();
-            return c;
-        };
-        double taped_scalar = taped_with(LpnKernel::Scalar, true);
-        double taped_scalar_nopf = taped_with(LpnKernel::Scalar, false);
-        double taped_sse2 = taped_with(LpnKernel::Sse2, true);
-        double taped_sse2_nopf = taped_with(LpnKernel::Sse2, false);
-        double taped_insert = taped_with(LpnKernel::Avx2, true);
-        double taped_insert_nopf = taped_with(LpnKernel::Avx2, false);
-        double taped_gather = taped_with(LpnKernel::Avx2Gather, true);
+        LpnEncoder::forceScalarKernel(true);
+        double taped_scalar = measureCycles(3, [&] {
+            enc.encodeBlocksTape(in.data(), rows.data(), 0, lp.n, tape);
+        });
+        LpnEncoder::forceScalarKernel(false);
         printRow({"LPN streaming (PR1 path)", streaming,
                   streaming / double(lp.n), "row"});
-        std::printf("  LPN tape, auto kernel = %s, auto prefetch = %s "
-                    "(both measured per CPU)\n",
-                    LpnEncoder::activeKernelName(),
-                    detail::lpnPrefetchEnabled() ? "on" : "off");
-        printRow({"LPN tape + SIMD (auto)", taped, taped / double(lp.n),
-                  "row"});
+        printRow({"LPN tape + SIMD", taped, taped / double(lp.n), "row"});
         printRow({"LPN tape, scalar kernel", taped_scalar,
                   taped_scalar / double(lp.n), "row"});
-        printRow({"LPN tape, scalar, no pf", taped_scalar_nopf,
-                  taped_scalar_nopf / double(lp.n), "row"});
-        printRow({"LPN tape, sse2", taped_sse2,
-                  taped_sse2 / double(lp.n), "row"});
-        printRow({"LPN tape, sse2, no pf", taped_sse2_nopf,
-                  taped_sse2_nopf / double(lp.n), "row"});
-        printRow({"LPN tape, avx2-insert", taped_insert,
-                  taped_insert / double(lp.n), "row"});
-        printRow({"LPN tape, avx2-insert, no pf", taped_insert_nopf,
-                  taped_insert_nopf / double(lp.n), "row"});
-        printRow({"LPN tape, avx2-vpgatherqq", taped_gather,
-                  taped_gather / double(lp.n), "row"});
         std::printf("    -> tape+SIMD speedup %.2fx (index AES "
-                    "eliminated: %zu calls/ext); auto keeps the "
-                    "per-CPU winner; 'no pf' rows = software tap "
-                    "prefetch disabled\n",
+                    "eliminated: %zu calls/ext); block kernel = %s\n",
                     streaming / taped,
-                    size_t(LpnEncoder::aesCallsPerRow) * lp.n);
+                    size_t(LpnEncoder::aesCallsPerRow) * lp.n,
+                    LpnEncoder::activeKernelName());
 
         // Bit-LPN (the receiver's x = e*A ^ u path).
         Rng bit_rng(9);
@@ -363,11 +333,11 @@ main()
         double bits_taped = measureCycles(3, [&] {
             enc.encodeBitsTape(bits_in, bits_rows, tape, pool);
         });
-        LpnEncoder::setKernel(LpnKernel::Scalar);
+        LpnEncoder::forceScalarKernel(true);
         double bits_scalar = measureCycles(3, [&] {
             enc.encodeBitsTape(bits_in, bits_rows, tape, pool);
         });
-        LpnEncoder::setKernel(LpnKernel::Auto);
+        LpnEncoder::forceScalarKernel(false);
         printRow({"bit-LPN streaming", bits_streaming,
                   bits_streaming / double(lp.n), "row"});
         printRow({"bit-LPN tape + SIMD", bits_taped,
@@ -398,11 +368,6 @@ main()
                 plain.otsPerSec / 1e6, plain2.otsPerSec / 1e6);
     std::printf("  %-26s %8.2f %8.2f M OT/s\n", "pipelined engine",
                 piped.otsPerSec / 1e6, piped2.otsPerSec / 1e6);
-    if (!fast)
-        std::printf("  PR2 pipelined baseline      5.5-5.9 M OT/s "
-                    "(EXPERIMENTS.md, this container)\n  -> speedup "
-                    "%.2fx (acceptance: >= 1.2x)\n",
-                    std::max(plain.otsPerSec, piped.otsPerSec) / 5.9e6);
 
     // Regression sentinel for the CI bench-smoke step: a broken
     // correlation or an implausibly slow hot path fails the run.
@@ -419,8 +384,6 @@ main()
         j.kv("n", uint64_t(p.n));
         j.kv("tsc_ghz", tps / 1e9);
         j.kv("lpn_auto_kernel", LpnEncoder::activeKernelName());
-        j.kv("lpn_auto_prefetch",
-             detail::lpnPrefetchEnabled() ? "on" : "off");
         j.key("stages_cyc_per_unit");
         j.beginObject();
         for (const StageRow &r : g_rows)

@@ -17,7 +17,7 @@ int
 main()
 {
     banner("Table 6", "Ironman-NMP area and power (45nm, model "
-                      "calibrated to the paper's synthesis)");
+                      "fitted to the paper's synthesis)");
 
     auto chacha = nmp::chaCha8Core();
     std::printf("%-24s | %10s | %10s\n", "component", "area mm^2",
@@ -37,7 +37,7 @@ main()
                 nmp::ReferencePlatforms::lrdimmPowerWatt);
 
     std::printf("\npaper: 1.482 / 2.995 mm^2 and 1.301 / 1.430 W for "
-                "the 256KB / 1MB PUs (our model is calibrated to "
+                "the 256KB / 1MB PUs (our model is fitted to "
                 "these, then extrapolates other sizes).\n");
 
     // Power-efficiency comparison vs the GPU (Sec. 6.1).

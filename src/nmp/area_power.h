@@ -5,7 +5,7 @@
  * The primitive-core numbers are the paper's own synthesis results
  * (Table 2, 45 nm, Design Compiler): they are inputs to this model,
  * not measurements we can re-run without the ASIC flow. The SRAM
- * curve is a CACTI-flavoured linear fit calibrated against the two
+ * curve is a CACTI-flavoured linear fit anchored to the two
  * published full-PU points of Table 6 (1.482 mm^2 @ 256 KB,
  * 2.995 mm^2 @ 1 MB, with 4 ChaCha cores and 2 rank caches per PU).
  * DRAM access energies use typical DDR4 constants (CACTI-3DD class).

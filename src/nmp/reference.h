@@ -6,7 +6,7 @@
  *    running this repository's software protocol on the host, plus
  *    the paper's published per-execution numbers for cross-checking;
  *  - the GPU implementation (NVIDIA A6000): an analytic model
- *    calibrated to the paper's reported 5.88x-over-CPU throughput and
+ *    fitted to the paper's reported 5.88x-over-CPU throughput and
  *    44.1% / 50.2% SPCOT/LPN breakdown (we have no GPU — see the
  *    substitution table in DESIGN.md).
  */

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
-#include <mutex>
 #include <vector>
 
 #include "common/logging.h"
@@ -32,37 +30,14 @@ constexpr size_t kRowsPerChunk = 256;
 
 constexpr size_t kLane = LpnIndexTape::kLane;
 
-/**
- * Software prefetch of a whole lane group's taps: the k-vector
- * gathers are the one randomly addressed stream of the kernel (the
- * tape itself is sequential — hardware prefetchers cover it), so each
- * group's d*kLane input lines are requested one group ahead of use.
- * The next group's indices are a contiguous read of the transposed
- * tape, making the address computation nearly free.
- */
-inline void
-prefetchGroupTaps(const Block *in, const uint32_t *group_tape,
-                  unsigned d)
-{
-    for (unsigned i = 0; i < d; ++i) {
-        const uint32_t *gi = group_tape + i * kLane;
-        for (size_t x = 0; x < kLane; ++x)
-            __builtin_prefetch(in + gi[x], 0, 3);
-    }
-}
-
 void
 gatherXorScalar(const Block *in, Block *inout, const uint32_t *tape,
                 size_t row0, size_t count, unsigned d)
 {
-    const bool pf = detail::lpnPrefetchEnabled();
     for (size_t j = 0; j < count; ++j) {
         const size_t r = row0 + j;
         const uint32_t *g = tape + (r / kLane) * size_t(d) * kLane +
                             (r % kLane);
-        // One group ahead, issued once per group (at its first row).
-        if (pf && r % kLane == 0 && j + 2 * kLane <= count)
-            prefetchGroupTaps(in, g + size_t(d) * kLane, d);
         Block acc = inout[j];
         for (unsigned i = 0; i < d; ++i)
             acc ^= in[g[i * kLane]];
@@ -76,7 +51,6 @@ void
 gatherXorSse2(const Block *in, Block *inout, const uint32_t *tape,
               size_t row0, size_t count, unsigned d)
 {
-    const bool pf = detail::lpnPrefetchEnabled();
     size_t j = 0;
     // Scalar head until the row index is lane-aligned.
     while (j < count && ((row0 + j) % kLane) != 0) {
@@ -86,13 +60,10 @@ gatherXorSse2(const Block *in, Block *inout, const uint32_t *tape,
 
     // Full groups: kLane independent accumulators hide the latency of
     // the randomly addressed 16-byte gathers; each tap's kLane indices
-    // are one contiguous 32-byte read of the transposed tape. The next
-    // group's taps are prefetched while this group's XOR chains retire.
+    // are one contiguous 32-byte read of the transposed tape.
     for (; j + kLane <= count; j += kLane) {
         const size_t r = row0 + j;
         const uint32_t *g = tape + (r / kLane) * size_t(d) * kLane;
-        if (pf && j + 2 * kLane <= count)
-            prefetchGroupTaps(in, g + size_t(d) * kLane, d);
         __m128i acc[kLane];
         for (size_t x = 0; x < kLane; ++x)
             acc[x] = _mm_loadu_si128(
@@ -117,25 +88,8 @@ gatherXorSse2(const Block *in, Block *inout, const uint32_t *tape,
 #endif // IRONMAN_HAVE_SSE2
 
 // ---------------------------------------------------------------------------
-// Bit gather-XOR kernels (the tape path of encodeBits)
+// Bit gather-XOR kernel (the tape path of encodeBits)
 // ---------------------------------------------------------------------------
-
-/** Scalar reference: one row at a time over the packed words. */
-void
-bitGatherScalar(const uint64_t *in, uint64_t *inout, const uint32_t *tape,
-                size_t rows, unsigned d)
-{
-    for (size_t r = 0; r < rows; ++r) {
-        const uint32_t *g = tape + (r / kLane) * size_t(d) * kLane +
-                            (r % kLane);
-        uint64_t bit = 0;
-        for (unsigned i = 0; i < d; ++i) {
-            const uint32_t idx = g[i * kLane];
-            bit ^= (in[idx >> 6] >> (idx & 63)) & 1;
-        }
-        inout[r >> 6] ^= bit << (r & 63);
-    }
-}
 
 /**
  * Word-at-a-time kernel: each 8-row lane group accumulates its result
@@ -175,235 +129,45 @@ bitGatherWords(const uint64_t *in, uint64_t *inout, const uint32_t *tape,
 // Kernel selection
 // ---------------------------------------------------------------------------
 
+/** forceScalarKernel() state: route both paths to their portable kernel. */
+std::atomic<bool> scalarForced{false};
+
 using GatherFn = void (*)(const Block *, Block *, const uint32_t *,
                           size_t, size_t, unsigned);
 using BitGatherFn = void (*)(const uint64_t *, uint64_t *,
                              const uint32_t *, size_t, unsigned);
 
-std::atomic<LpnKernel> gatherKernelMode{LpnKernel::Auto};
-
-/** Prefetch pinning: -1 = auto (calibrated), 0 = off, 1 = on. */
-std::atomic<int> gatherPrefetchMode{-1};
-
-#ifdef IRONMAN_HAVE_SSE2
-
-/**
- * Measure the two AVX2 block kernels on a synthetic tape and keep the
- * faster: vpgatherqq beats the vinserti128 pair on some cores and
- * loses on others, so Auto decides per CPU, once per process (during
- * engine warm-up — the scratch buffers here are freed immediately).
- */
 GatherFn
-calibrateAvx2Kernel()
-{
-    constexpr size_t k = 2048, rows = 4096;
-    constexpr unsigned d = 10;
-    std::vector<Block> in(k), a(rows), b(rows);
-    std::vector<uint32_t> tape((rows / kLane) * d * kLane);
-    uint64_t s = 0x9e3779b97f4a7c15ULL;
-    for (Block &blk : in) {
-        s = s * 6364136223846793005ULL + 1442695040888963407ULL;
-        blk = Block(s, ~s);
-    }
-    for (uint32_t &t : tape) {
-        s = s * 6364136223846793005ULL + 1442695040888963407ULL;
-        t = uint32_t(s >> 33) % k;
-    }
-    auto time = [&](GatherFn fn, Block *rows_buf) {
-        uint64_t best = ~0ULL;
-        for (int rep = 0; rep < 3; ++rep) {
-            const auto t0 = std::chrono::steady_clock::now();
-            fn(in.data(), rows_buf, tape.data(), 0, rows, d);
-            const auto t1 = std::chrono::steady_clock::now();
-            best = std::min(
-                best, uint64_t(std::chrono::duration_cast<
-                                   std::chrono::nanoseconds>(t1 - t0)
-                                   .count()));
-        }
-        return best;
-    };
-    const uint64_t insert = time(&detail::lpnGatherXorAvx2, a.data());
-    const uint64_t gather =
-        time(&detail::lpnGatherXorAvx2Gather, b.data());
-    return gather < insert ? &detail::lpnGatherXorAvx2Gather
-                           : &detail::lpnGatherXorAvx2;
-}
-
-#endif // IRONMAN_HAVE_SSE2
-
-/** Auto-mode prefetch verdict: -1 = not yet measured, 0/1 = off/on. */
-std::atomic<int> prefetchAutoResult{-1};
-
-#ifdef IRONMAN_HAVE_SSE2
-
-/**
- * Measure the chosen kernel with tap prefetch on vs off and keep the
- * winner, once per process. The synthetic k-vector is 2 MB — sized
- * like the paper sets' LPN input (past L1/L2 on most parts), unlike
- * the deliberately small kernel-calibration tape: prefetch only earns
- * its uops when the taps actually miss, so it must be judged at a
- * realistic working-set size.
- */
-void
-ensurePrefetchCalibrated(GatherFn fn)
-{
-    if (prefetchAutoResult.load(std::memory_order_relaxed) >= 0)
-        return;
-    static std::once_flag flag;
-    std::call_once(flag, [fn] {
-        constexpr size_t k = size_t(1) << 17, rows = size_t(1) << 13;
-        constexpr unsigned d = 10;
-        std::vector<Block> in(k), buf(rows);
-        std::vector<uint32_t> tape((rows / kLane) * d * kLane);
-        uint64_t s = 0x243f6a8885a308d3ULL;
-        for (Block &blk : in) {
-            s = s * 6364136223846793005ULL + 1442695040888963407ULL;
-            blk = Block(s, ~s);
-        }
-        for (uint32_t &t : tape) {
-            s = s * 6364136223846793005ULL + 1442695040888963407ULL;
-            t = uint32_t(s >> 33) % k;
-        }
-        auto time_mode = [&](int mode) {
-            gatherPrefetchMode.store(mode, std::memory_order_relaxed);
-            uint64_t best = ~0ULL;
-            for (int rep = 0; rep < 3; ++rep) {
-                const auto t0 = std::chrono::steady_clock::now();
-                fn(in.data(), buf.data(), tape.data(), 0, rows, d);
-                const auto t1 = std::chrono::steady_clock::now();
-                best = std::min(
-                    best,
-                    uint64_t(std::chrono::duration_cast<
-                                 std::chrono::nanoseconds>(t1 - t0)
-                                 .count()));
-            }
-            return best;
-        };
-        // The timing loop pins the global mode; put back whatever was
-        // there before (a caller's explicit setPrefetch pin survives
-        // calibration — only the Auto verdict is updated).
-        const int prior =
-            gatherPrefetchMode.load(std::memory_order_relaxed);
-        const uint64_t off = time_mode(0);
-        const uint64_t on = time_mode(1);
-        gatherPrefetchMode.store(prior, std::memory_order_relaxed);
-        prefetchAutoResult.store(on < off ? 1 : 0,
-                                 std::memory_order_relaxed);
-    });
-}
-
-#endif // IRONMAN_HAVE_SSE2
-
-GatherFn
-pickAutoKernel()
+blockKernel()
 {
 #ifdef IRONMAN_HAVE_SSE2
-    if (detail::lpnAvx2Supported()) {
-        static const GatherFn best = calibrateAvx2Kernel();
-        ensurePrefetchCalibrated(best);
-        return best;
-    }
-    ensurePrefetchCalibrated(&gatherXorSse2);
-    return &gatherXorSse2;
-#else
-    // Scalar-only platform: prefetch stays off until pinned.
-    return &gatherXorScalar;
-#endif
-}
-
-GatherFn
-activeGatherKernel()
-{
-    switch (gatherKernelMode.load(std::memory_order_relaxed)) {
-      case LpnKernel::Scalar:
-        return &gatherXorScalar;
-#ifdef IRONMAN_HAVE_SSE2
-      case LpnKernel::Sse2:
+    if (!scalarForced.load(std::memory_order_relaxed))
         return &gatherXorSse2;
-      case LpnKernel::Avx2:
-        if (detail::lpnAvx2Supported())
-            return &detail::lpnGatherXorAvx2;
-        break;
-      case LpnKernel::Avx2Gather:
-        if (detail::lpnAvx2Supported())
-            return &detail::lpnGatherXorAvx2Gather;
-        break;
 #endif
-      default:
-        break;
-    }
-    return pickAutoKernel();
+    return &gatherXorScalar;
 }
 
 BitGatherFn
-activeBitKernel()
+bitKernel()
 {
-    switch (gatherKernelMode.load(std::memory_order_relaxed)) {
-      case LpnKernel::Scalar:
-        return &bitGatherScalar;
-      case LpnKernel::Sse2:
-        return &bitGatherWords;
-      default:
-        break;
-    }
-#ifdef IRONMAN_HAVE_SSE2
-    if (detail::lpnAvx2Supported())
+    if (!scalarForced.load(std::memory_order_relaxed) &&
+        detail::lpnAvx2Supported())
         return &detail::lpnBitGatherXorAvx2;
-#endif
     return &bitGatherWords;
 }
 
 } // namespace
 
 void
-LpnEncoder::setKernel(LpnKernel kernel)
-{
-    gatherKernelMode.store(kernel, std::memory_order_relaxed);
-}
-
-void
-LpnEncoder::setPrefetch(bool on)
-{
-    gatherPrefetchMode.store(on ? 1 : 0, std::memory_order_relaxed);
-}
-
-void
-LpnEncoder::setPrefetchAuto()
-{
-    gatherPrefetchMode.store(-1, std::memory_order_relaxed);
-}
-
-bool
-detail::lpnPrefetchEnabled()
-{
-    const int mode = gatherPrefetchMode.load(std::memory_order_relaxed);
-    if (mode >= 0)
-        return mode != 0;
-    // Auto: the calibrated verdict; off while (or until) calibrating.
-    return prefetchAutoResult.load(std::memory_order_relaxed) == 1;
-}
-
-void
 LpnEncoder::forceScalarKernel(bool force)
 {
-    setKernel(force ? LpnKernel::Scalar : LpnKernel::Auto);
+    scalarForced.store(force, std::memory_order_relaxed);
 }
 
 const char *
 LpnEncoder::activeKernelName()
 {
-    const GatherFn fn = activeGatherKernel();
-    if (fn == &gatherXorScalar)
-        return "scalar";
-#ifdef IRONMAN_HAVE_SSE2
-    if (fn == &gatherXorSse2)
-        return "sse2";
-    if (fn == &detail::lpnGatherXorAvx2)
-        return "avx2-insert";
-    if (fn == &detail::lpnGatherXorAvx2Gather)
-        return "avx2-vpgatherqq";
-#endif
-    return "?";
+    return blockKernel() == &gatherXorScalar ? "scalar" : "sse2";
 }
 
 LpnEncoder::LpnEncoder(const LpnParams &params) : p(params)
@@ -533,7 +297,7 @@ LpnEncoder::encodeBlocksTape(const Block *in, Block *inout, uint64_t row0,
     IRONMAN_CHECK(tape.ready() && tape.builtFor == p,
                   "tape built for different LPN params");
     IRONMAN_CHECK(row0 + count <= tape.rows, "tape too short");
-    activeGatherKernel()(in, inout, tape.idx.data(), row0, count, p.d);
+    blockKernel()(in, inout, tape.idx.data(), row0, count, p.d);
 }
 
 void
@@ -576,7 +340,7 @@ LpnEncoder::encodeBitsTape(const BitVec &in, BitVec &inout,
                       tape.rows >= p.n,
                   "tape too short for bit encode");
     static_assert(64 % kLane == 0, "word ranges must be lane-aligned");
-    const BitGatherFn kernel = activeBitKernel();
+    const BitGatherFn kernel = bitKernel();
     const uint64_t *in_words = in.rawWords().data();
     uint64_t *out_words = inout.rawWords().data();
     const uint32_t *tape_idx = tape.idx.data();

@@ -24,10 +24,15 @@
  *    through an LpnEncodeScratch (AES index tape on the fly);
  *  - the tape path consumes a precomputed LpnIndexTape — the index
  *    unpack and the `% k` reduction happen exactly once, at build
- *    time, in a lane-transposed layout that feeds the SIMD gather-XOR
- *    kernels (SSE2 baseline, AVX2 runtime-dispatched like the AES
- *    engines). This is what the FERRET steady state uses: the matrix
- *    is fixed per engine, so every extension replays the tape.
+ *    time, in a lane-transposed layout that feeds one SIMD gather-XOR
+ *    kernel per shape. This is what the FERRET steady state uses: the
+ *    matrix is fixed per engine, so every extension replays the tape.
+ *
+ * Kernel choice depends only on the build target and CPUID, never on
+ * a timing: blocks use the 8-accumulator SSE2 kernel on x86 (scalar
+ * elsewhere); bits use the AVX2 vpgatherdd kernel when the CPU has
+ * AVX2 (word-at-a-time scalar otherwise). forceScalarKernel() is the
+ * one test seam that routes both paths to their portable kernel.
  *
  * The encoder itself is immutable and shareable across threads — each
  * thread brings its own scratch; the tape is read-only after build.
@@ -105,24 +110,6 @@ struct LpnIndexTape
     }
 };
 
-/**
- * Gather-XOR kernel selection. Auto dispatches to the widest kernel
- * the CPU supports; on AVX2 hosts it additionally calibrates the
- * vinserti128 kernel against the vpgatherqq kernel once (per-process)
- * and keeps whichever wins on this CPU — gather wins or loses by
- * microarchitecture, so the choice is measured, not assumed.
- * Explicit values pin a kernel (tests, per-kernel benches);
- * unsupported requests fall back to the widest available.
- */
-enum class LpnKernel
-{
-    Auto,
-    Scalar,     ///< scalar tape walk
-    Sse2,       ///< 8-accumulator SSE2 kernel
-    Avx2,       ///< AVX2 vinserti128 pair kernel
-    Avx2Gather, ///< AVX2 vpgatherqq kernel
-};
-
 /** Streaming generator + encoder for the d-local code. */
 class LpnEncoder
 {
@@ -176,7 +163,6 @@ class LpnEncoder
      * Tape path of encodeBlocks(): gather-XOR rows [row0, row0+count)
      * using the precomputed indices. Stateless and allocation-free —
      * safe to call concurrently from any partition of the row range.
-     * Dispatches to the widest SIMD kernel the CPU supports.
      */
     void encodeBlocksTape(const Block *in, Block *inout, uint64_t row0,
                           size_t count, const LpnIndexTape &tape) const;
@@ -193,43 +179,24 @@ class LpnEncoder
     /**
      * Tape path of encodeBits() (rows [0, p.n)): word-at-a-time over
      * the lane-transposed tape — one result byte per 8-row lane group
-     * instead of per-bit get/set, with an AVX2 vpgatherdd/vpsrlvd
-     * kernel behind the same runtime dispatch as the block path.
-     * Rows are split over @p pool in 64-row-aligned ranges, so no two
-     * threads write the same output word and every range starts on a
-     * tape lane group. Bit-identical at any thread count.
+     * instead of per-bit get/set. Rows are split over @p pool in
+     * 64-row-aligned ranges, so no two threads write the same output
+     * word and every range starts on a tape lane group. Bit-identical
+     * at any thread count.
      */
     void encodeBitsTape(const BitVec &in, BitVec &inout,
                         const LpnIndexTape &tape,
                         common::ThreadPool &pool) const;
 
     /**
-     * Pin the gather-XOR kernels (block and bit) for all encoders;
-     * LpnKernel::Auto restores per-CPU dispatch. Mirrors
-     * Aes128::forceSoftware.
+     * Test seam: route block encodes to the scalar tape walk and bit
+     * encodes to the word-at-a-time kernel while @p force holds, so
+     * both portable fallbacks stay tested on SIMD hosts. Process-global;
+     * mirrors Aes128::forceSoftware.
      */
-    static void setKernel(LpnKernel kernel);
-
-    /** Scalar-vs-SIMD test hook: Scalar when @p force, else Auto. */
     static void forceScalarKernel(bool force);
 
-    /**
-     * Pin the gather-XOR kernels' software prefetch of the next lane
-     * group's k-vector taps. Process-global, like setKernel; the A/B
-     * rows of bench_micro_hotpath_stages use it. The default (see
-     * setPrefetchAuto) MEASURES the choice once per process on a
-     * k-vector sized like the real sets: prefetch wins when the taps
-     * genuinely miss cache and is pure uop overhead when the k-vector
-     * is cache-resident — which way that goes depends on the CPU, so
-     * it is calibrated, not assumed (same policy as the
-     * insert-vs-vpgatherqq kernel choice).
-     */
-    static void setPrefetch(bool on);
-
-    /** Restore the measured per-CPU prefetch default. */
-    static void setPrefetchAuto();
-
-    /** Name of the block kernel Auto currently resolves to (bench). */
+    /** Name of the block kernel tape encodes use ("sse2"/"scalar"). */
     static const char *activeKernelName();
 
     /** AES invocations needed per row of index generation. */
@@ -241,16 +208,8 @@ class LpnEncoder
 
 namespace detail {
 
-/** Current LpnEncoder::setPrefetch state (read by the kernels). */
-bool lpnPrefetchEnabled();
-
-/** AVX2 gather-XOR entry points (lpn_avx2.cpp, built with -mavx2). */
+/** AVX2 bit gather-XOR (lpn_avx2.cpp, built with -mavx2). */
 bool lpnAvx2Supported();
-void lpnGatherXorAvx2(const Block *in, Block *inout, const uint32_t *tape,
-                      size_t row0, size_t count, unsigned d);
-void lpnGatherXorAvx2Gather(const Block *in, Block *inout,
-                            const uint32_t *tape, size_t row0,
-                            size_t count, unsigned d);
 void lpnBitGatherXorAvx2(const uint64_t *in_words, uint64_t *inout_words,
                          const uint32_t *tape, size_t rows, unsigned d);
 

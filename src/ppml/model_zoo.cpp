@@ -33,7 +33,7 @@ ModelProfile::totalNonlinearElements() const
 ModelProfile
 mobileNetV2()
 {
-    // ReLU6 after every inverted-residual expansion. Count calibrated
+    // ReLU6 after every inverted-residual expansion. Count fitted
     // to the Table 5 latency ordering (MobileNetV2 < SqueezeNet <
     // ResNet18), which implies the evaluated variant's activation
     // volume rather than the full-width 224x224 network.

@@ -8,6 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <thread>
+#include <vector>
+
 #include "common/rng.h"
 #include "ot/base_cot.h"
 #include "ot/lpn.h"
@@ -146,11 +150,22 @@ TEST(LpnTest, PoolParallelMatchesSerial)
 // ---------------------------------------------------------------------------
 
 /**
- * The tape path (precomputed transposed indices + runtime-dispatched
- * SIMD gather-XOR) must be bit-identical to the streaming scalar
- * encoder under randomized seeds, including with the SIMD kernel
- * forced off (scalar tape walk), at unaligned row offsets, and
- * through the pool.
+ * Holds LpnEncoder::forceScalarKernel(@p force) for one scope, so a
+ * failed ASSERT cannot leak the scalar route into later tests. Every
+ * kernel test runs twice: CPU dispatch, then the portable kernels.
+ */
+struct KernelPass
+{
+    explicit KernelPass(bool force) { LpnEncoder::forceScalarKernel(force); }
+    ~KernelPass() { LpnEncoder::forceScalarKernel(false); }
+};
+
+/**
+ * The tape path (precomputed transposed indices + gather-XOR kernel)
+ * must be bit-identical to the streaming scalar encoder under
+ * randomized seeds, with the SIMD kernel dispatched and with it forced
+ * off (scalar tape walk), at unaligned row offsets, and through the
+ * pool.
  */
 TEST(LpnTapeTest, TapeEncodeMatchesStreamingUnderRandomSeeds)
 {
@@ -176,46 +191,71 @@ TEST(LpnTapeTest, TapeEncodeMatchesStreamingUnderRandomSeeds)
         LpnIndexTape tape;
         enc.buildTape(tape, p.n, pool, scratches.data());
 
-        // SIMD kernel (whatever the CPU dispatches to).
-        std::vector<Block> simd = base;
-        enc.encodeBlocksTape(in.data(), simd.data(), 0, p.n, tape);
-        EXPECT_EQ(simd, expect) << "trial " << trial;
-
-        // Forced-scalar tape walk.
-        LpnEncoder::forceScalarKernel(true);
-        std::vector<Block> scalar = base;
-        enc.encodeBlocksTape(in.data(), scalar.data(), 0, p.n, tape);
-        LpnEncoder::forceScalarKernel(false);
-        EXPECT_EQ(scalar, expect) << "trial " << trial;
-
-        // Every pinnable kernel (unsupported ones fall back, which
-        // must still be bit-identical).
-        for (LpnKernel k : {LpnKernel::Sse2, LpnKernel::Avx2,
-                            LpnKernel::Avx2Gather}) {
-            LpnEncoder::setKernel(k);
-            std::vector<Block> pinned = base;
-            enc.encodeBlocksTape(in.data(), pinned.data(), 0, p.n, tape);
-            LpnEncoder::setKernel(LpnKernel::Auto);
-            EXPECT_EQ(pinned, expect)
-                << "trial " << trial << " kernel " << int(k);
-        }
-
         // Unaligned sub-range (exercises the head/tail handling).
-        size_t row0 = 1 + meta_rng.nextBelow(61);
-        size_t count = p.n - row0 - meta_rng.nextBelow(7);
-        std::vector<Block> sub(base.begin() + row0,
-                               base.begin() + row0 + count);
-        enc.encodeBlocksTape(in.data(), sub.data(), row0, count, tape);
-        for (size_t j = 0; j < count; ++j)
-            ASSERT_EQ(sub[j], expect[row0 + j])
-                << "trial " << trial << " row " << row0 + j;
+        const size_t row0 = 1 + meta_rng.nextBelow(61);
+        const size_t count = p.n - row0 - meta_rng.nextBelow(7);
 
-        // Pool split.
-        std::vector<Block> pooled = base;
-        enc.encodeBlocksTapePool(in.data(), pooled.data(), p.n, tape,
-                                 pool);
-        EXPECT_EQ(pooled, expect) << "trial " << trial;
+        for (bool scalar : {false, true}) {
+            KernelPass pass(scalar);
+
+            std::vector<Block> full = base;
+            enc.encodeBlocksTape(in.data(), full.data(), 0, p.n, tape);
+            EXPECT_EQ(full, expect)
+                << "trial " << trial << " scalar " << scalar;
+
+            std::vector<Block> sub(base.begin() + row0,
+                                   base.begin() + row0 + count);
+            enc.encodeBlocksTape(in.data(), sub.data(), row0, count, tape);
+            for (size_t j = 0; j < count; ++j)
+                ASSERT_EQ(sub[j], expect[row0 + j])
+                    << "trial " << trial << " scalar " << scalar
+                    << " row " << row0 + j;
+
+            std::vector<Block> pooled = base;
+            enc.encodeBlocksTapePool(in.data(), pooled.data(), p.n, tape,
+                                     pool);
+            EXPECT_EQ(pooled, expect)
+                << "trial " << trial << " scalar " << scalar;
+        }
     }
+}
+
+/**
+ * Kernel choice is fixed by the build target and CPUID, never by a
+ * timing sample: the block kernel name is the same on every call and
+ * from concurrent threads, and it is SSE2 on every x86 CPU (SSE2 is the
+ * x86-64 baseline, so AVX2 support does not change it).
+ */
+TEST(LpnTapeTest, KernelChoiceIsFixedByBuildAndCpuid)
+{
+#if defined(__x86_64__) || defined(__i386__)
+    const std::string expect = "sse2";
+#else
+    const std::string expect = "scalar";
+#endif
+    for (int i = 0; i < 100; ++i)
+        ASSERT_EQ(LpnEncoder::activeKernelName(), expect);
+
+    std::vector<std::string> seen(4);
+    std::vector<std::thread> threads;
+    for (size_t t = 0; t < seen.size(); ++t)
+        threads.emplace_back([&seen, t] {
+            std::string name = LpnEncoder::activeKernelName();
+            for (int i = 0; i < 100; ++i)
+                if (name != LpnEncoder::activeKernelName())
+                    name = "changed";
+            seen[t] = name;
+        });
+    for (std::thread &th : threads)
+        th.join();
+    for (const std::string &name : seen)
+        EXPECT_EQ(name, expect);
+
+    {
+        KernelPass pass(true);
+        EXPECT_STREQ(LpnEncoder::activeKernelName(), "scalar");
+    }
+    EXPECT_EQ(LpnEncoder::activeKernelName(), expect);
 }
 
 TEST(LpnTapeTest, TapeBuildDeterministicAcrossThreadCounts)
@@ -257,10 +297,10 @@ TEST(LpnTapeTest, BitEncodeTapeMatchesStreaming)
 }
 
 /**
- * The SIMD bit kernels (word-at-a-time groups + AVX2 vpgatherdd) must
- * be bit-identical to the streaming scalar bit encode under random
- * seeds and sizes, including n % 8 != 0 tails and through every
- * pinnable kernel.
+ * The bit kernels (AVX2 vpgatherdd where dispatched, word-at-a-time
+ * groups when forced scalar) must be bit-identical to the streaming
+ * scalar bit encode under random seeds and sizes, including n % 8 != 0
+ * tails.
  */
 TEST(LpnTapeTest, BitEncodeSimdMatchesScalarUnderRandomSeeds)
 {
@@ -286,26 +326,19 @@ TEST(LpnTapeTest, BitEncodeSimdMatchesScalarUnderRandomSeeds)
         LpnIndexTape tape;
         enc.buildTape(tape, p.n, pool, scratches.data());
 
-        BitVec simd = base;
-        enc.encodeBitsTape(in, simd, tape, pool);
-        EXPECT_EQ(simd, expect) << "trial " << trial;
-
-        for (LpnKernel k :
-             {LpnKernel::Scalar, LpnKernel::Sse2, LpnKernel::Avx2,
-              LpnKernel::Avx2Gather}) {
-            LpnEncoder::setKernel(k);
-            BitVec pinned = base;
-            enc.encodeBitsTape(in, pinned, tape, pool);
-            LpnEncoder::setKernel(LpnKernel::Auto);
-            EXPECT_EQ(pinned, expect)
-                << "trial " << trial << " kernel " << int(k);
+        for (bool scalar : {false, true}) {
+            KernelPass pass(scalar);
+            BitVec got = base;
+            enc.encodeBitsTape(in, got, tape, pool);
+            EXPECT_EQ(got, expect)
+                << "trial " << trial << " scalar " << scalar;
         }
     }
 }
 
 /**
  * Pooled bit-LPN splits rows in 64-row (one output word) ranges: at
- * every thread count and through every pinnable kernel it must match
+ * every thread count and through both kernel passes it must match
  * the one-thread encode, including an n % 64 != 0 tail and an n so
  * small that some threads get an empty range.
  */
@@ -331,23 +364,20 @@ TEST(LpnTapeTest, BitEncodePoolMatchesSerialAtAnyThreadCount)
         BitVec reference = base;
         enc.encodeBits(in, reference, scratch);
 
-        for (LpnKernel k :
-             {LpnKernel::Scalar, LpnKernel::Sse2, LpnKernel::Avx2,
-              LpnKernel::Avx2Gather}) {
-            LpnEncoder::setKernel(k);
+        for (bool scalar : {false, true}) {
+            KernelPass pass(scalar);
             BitVec expect = base;
             enc.encodeBitsTape(in, expect, tape, serial);
             EXPECT_EQ(expect, reference)
-                << "n " << n << " kernel " << int(k);
+                << "n " << n << " scalar " << scalar;
             for (int threads : {2, 3, 4}) {
                 common::ThreadPool pool(threads);
                 BitVec pooled = base;
                 enc.encodeBitsTape(in, pooled, tape, pool);
-                EXPECT_EQ(pooled, expect) << "n " << n << " kernel "
-                                          << int(k) << " threads "
+                EXPECT_EQ(pooled, expect) << "n " << n << " scalar "
+                                          << scalar << " threads "
                                           << threads;
             }
-            LpnEncoder::setKernel(LpnKernel::Auto);
         }
     }
 }
