@@ -4,17 +4,18 @@
  * online bytes/image and online rounds/image for the ways the
  * repository can run the same GMW MLP inference —
  *
- *   in-process   MemoryDuplex + per-party FerretCotEngine (the
- *                baseline examples/private_mlp runs),
+ *   in-process (incl. setup)  MemoryDuplex + per-party
+ *                    FerretCotEngine (the baseline examples/private_mlp
+ *                    runs); its time includes both parties' engine
+ *                    construction, unlike the served rows,
  *   served+engine    loopback TCP, per-session dual-direction engine
- *                    on the inference channel (packed and unpacked
- *                    wire, the PR 6 A/B),
+ *                    on the inference channel,
  *   served+reservoir loopback TCP, correlations from background
  *                    COT-service sessions (the paper architecture:
  *                    online phase overlaps with COT refill),
  *
- * plus two PR 6 sections: request-level pipelining (depth-8 batch-1
- * vs depth-1 batch-8 over the same images) and simulated-latency rows
+ * plus request-level pipelining (depth-8 batch-1 vs depth-1 batch-8
+ * over the same images) and simulated-latency rows
  * (SocketChannel::setSimulatedDelay on the client end, LAN 0.15 ms
  * RTT always, WAN 20 ms RTT in full mode) where pipelining must show
  * its round-hiding.
@@ -24,12 +25,14 @@
  *     sequential for depth-1 rows, grouped for pipelined rows (a
  *     depth-k batch-1 group shares and evaluates exactly like one
  *     batch-k request, so the same reference covers both),
- *   - packed/unpacked online-byte ratio >= 4x at width 32 and >= 6x
- *     at width 8, and the packed mlp-16x8x4@32 row under an absolute
- *     bytes/image ceiling,
+ *   - the mlp-16x8x4@32 reservoir row under an absolute bytes/image
+ *     ceiling,
  *   - depth-8 batch-1 >= 0.8x the depth-1 batch-8 throughput on
  *     loopback, and STRICTLY faster on every simulated-latency row,
- *     each compared on the median of 3 interleaved repetitions.
+ *   - full mode only: the shaped-WAN deep+stream row >= 3x the PR 7
+ *     protocol's 6.2 img/s,
+ *   each throughput sentinel compared on the median of 3 interleaved
+ *   repetitions.
  */
 
 #include <algorithm>
@@ -55,11 +58,11 @@ namespace {
 constexpr uint64_t kShareSeed = 0xbe7c5;
 constexpr uint64_t kSetupSeed = 424242;
 
-/** Regression ceiling for the packed mlp-16x8x4@32 reservoir row
- *  (PR 5 shipped ~34 kB/img; the packed codec lands near 0.6 kB/img
- *  on the ripple, ~1.7 kB/img on the default Kogge-Stone ladder —
- *  the ladder burns ~4x the AND gates to cut the round chain ~4x,
- *  and every gate is online payload). The reservoir row is the
+/** Regression ceiling for the mlp-16x8x4@32 reservoir row (PR 5's
+ *  Block-wide wire shipped ~34 kB/img; the width-packed codec lands
+ *  near 1.7 kB/img on the Kogge-Stone ladder — the ladder burns ~4x
+ *  the AND gates of a ripple carry to cut the round chain ~4x, and
+ *  every gate is online payload). The reservoir row is the
  *  honest online measurement: its COT preprocessing rides the
  *  separate COT-service channel, whereas the engine-supply row's
  *  mid-session extensions share the inference channel and pollute
@@ -76,8 +79,6 @@ struct Row
     double onlineRoundsPerImage = 0;
     double preprocBytesPerImage = 0;
     unsigned inflightDepth = 1;
-    bool packed = true;
-    bool ladder = true; ///< negotiated comparison circuit
     bool stream = false; ///< negotiated streaming commits
     double rttMs = 0;
     double bandwidthMbps = 0;
@@ -120,11 +121,9 @@ struct ServedCfg
 {
     std::string path;
     bool reservoir = false;
-    bool packed = true;
     uint16_t depth = 1;
     uint64_t rttUs = 0; ///< client-side per-turnaround sleep
     uint64_t bandwidthBps = 0; ///< server-side link shaping (0 = off)
-    bool ladder = true; ///< Kogge-Stone ladder (false = ripple A/B)
     bool stream = false; ///< counted streaming commits
 };
 
@@ -147,8 +146,6 @@ emitRow(bench::JsonWriter &json, const std::string &model,
     json.kv("rounds_per_image", row.onlineRoundsPerImage);
     json.kv("preproc_bytes_per_image", row.preprocBytesPerImage);
     json.kv("inflight_depth", uint64_t(row.inflightDepth));
-    json.kv("packed", uint64_t(row.packed ? 1 : 0));
-    json.kv("cmp_mode", row.ladder ? "ladder" : "ripple");
     json.kv("stream", uint64_t(row.stream ? 1 : 0));
     json.kv("rtt_ms", row.rttMs);
     json.kv("bandwidth_mbps", row.bandwidthMbps);
@@ -198,15 +195,12 @@ runServed(const ppml::MlpModelSpec &spec, unsigned width,
     opt.shareSeed = kShareSeed;
     opt.params = params;
     opt.depth = cfg.depth;
-    opt.packedWire = cfg.packed;
-    opt.ladderCmp = cfg.ladder;
     opt.streamCommit = cfg.stream;
     opt.simulatedDelayUs = cfg.rttUs;
 
     Row row;
     row.path = cfg.path;
     row.inflightDepth = cfg.depth;
-    row.packed = cfg.packed;
     row.rttMs = double(cfg.rttUs) / 1000.0;
     row.bandwidthMbps = double(cfg.bandwidthBps) / 1e6;
 
@@ -216,7 +210,6 @@ runServed(const ppml::MlpModelSpec &spec, unsigned width,
                             opt)
                       : infer::InferClient::connectTcp("127.0.0.1",
                                                        port, opt);
-    row.ladder = client->comparisonMode() == ppml::CmpMode::Ladder;
     row.stream = client->streaming();
     const uint64_t base_bytes =
         client->onlineBytesSent() + client->onlineBytesReceived();
@@ -276,7 +269,7 @@ main()
     const ot::FerretParams params = ot::tinyTestParams();
 
     bench::banner("infer_e2e",
-                  "served GMW MLP inference: packed wire, pipelining, "
+                  "served GMW MLP inference: supply kinds, pipelining, "
                   "latency rows");
     bench::note("byte/round columns are online deltas measured after "
                 "session bring-up");
@@ -292,35 +285,31 @@ main()
     bool sentinels_ok = true;
 
     // ------------------------------------------------------------------
-    // Section A: wire packing A/B on the depth-1 protocol
+    // Section A: supply kinds on the depth-1 protocol
     // ------------------------------------------------------------------
-    struct PackPoint
-    {
-        const char *model;
-        unsigned width;
-        double minRatio; ///< unpacked/packed online-byte floor
-    };
-    std::vector<PackPoint> pack_grid = {{"mlp-16x8x4", 32, 4.0},
-                                        {"mlp-4x3x2", 8, 6.0}};
+    std::vector<std::pair<const char *, unsigned>> supply_grid = {
+        {"mlp-16x8x4", 32}, {"mlp-4x3x2", 8}};
     if (!fast)
-        pack_grid.push_back({"mlp-32x16x10", 32, 4.0});
+        supply_grid.push_back({"mlp-32x16x10", 32});
 
-    for (const PackPoint &g : pack_grid) {
-        const ppml::MlpModelSpec &spec = *ppml::findMlpModel(g.model);
+    for (const auto &[model, width] : supply_grid) {
+        const ppml::MlpModelSpec &spec = *ppml::findMlpModel(model);
         const size_t images = requests * batch;
         std::vector<std::vector<int64_t>> reqs;
         for (size_t r = 0; r < requests; ++r)
             reqs.push_back(ppml::sampleMlpInput(spec, 7000 + r, batch));
 
         std::printf("\n%s, width %u, %zu requests x %u images\n",
-                    spec.name.c_str(), g.width, requests, batch);
+                    spec.name.c_str(), width, requests, batch);
         printHeader();
 
+        // Times both parties' engine construction too: the served rows
+        // below start their clocks after session bring-up.
         Timer local_timer;
         const ppml::LocalMlpResult local = ppml::runLocalMlpInference(
-            spec, g.width, reqs, kShareSeed, kSetupSeed, params);
+            spec, width, reqs, kShareSeed, kSetupSeed, params);
         Row local_row;
-        local_row.path = "in-process";
+        local_row.path = "in-process (incl. setup)";
         local_row.seconds = local_timer.seconds();
         local_row.imagesPerSec = double(images) / local_row.seconds;
         local_row.cotsPerImage =
@@ -329,38 +318,21 @@ main()
             double(local.onlineBytes) / double(images);
         emitRow(json, spec.name, images, local_row);
 
-        const Row packed_row =
-            runServed(spec, g.width, batch, params, reqs,
-                      local.outputs,
-                      {"served+engine packed", false, true, 1, 0});
-        const Row unpacked_row =
-            runServed(spec, g.width, batch, params, reqs,
-                      local.outputs,
-                      {"served+engine unpacked", false, false, 1, 0});
+        const Row engine_row =
+            runServed(spec, width, batch, params, reqs, local.outputs,
+                      {"served+engine", false, 1, 0});
         const Row reservoir_row =
-            runServed(spec, g.width, batch, params, reqs,
-                      local.outputs,
-                      {"served+reservoir packed", true, true, 1, 0});
-        for (const Row *row :
-             {&packed_row, &unpacked_row, &reservoir_row}) {
+            runServed(spec, width, batch, params, reqs, local.outputs,
+                      {"served+reservoir", true, 1, 0});
+        for (const Row *row : {&engine_row, &reservoir_row}) {
             emitRow(json, spec.name, images, *row);
             all_identical &= row->bitIdentical;
         }
 
-        const double ratio = unpacked_row.onlineBytesPerImage /
-                             packed_row.onlineBytesPerImage;
-        std::printf("  packed saves %.1fx online bytes (floor %.0fx)\n",
-                    ratio, g.minRatio);
-        if (ratio < g.minRatio) {
-            std::printf("BENCH-SMOKE: FAIL — %s w%u packing ratio "
-                        "%.2f below %.0fx\n",
-                        spec.name.c_str(), g.width, ratio, g.minRatio);
-            sentinels_ok = false;
-        }
-        if (g.width == 32 && spec.name == "mlp-16x8x4" &&
+        if (width == 32 && spec.name == "mlp-16x8x4" &&
             reservoir_row.onlineBytesPerImage > kPackedByteCeiling) {
-            std::printf("BENCH-SMOKE: FAIL — packed %s@32 "
-                        "%.0f B/img above the %.0f ceiling\n",
+            std::printf("BENCH-SMOKE: FAIL — %s@32 %.0f B/img above "
+                        "the %.0f ceiling\n",
                         spec.name.c_str(),
                         reservoir_row.onlineBytesPerImage,
                         kPackedByteCeiling);
@@ -410,12 +382,12 @@ main()
             [&] {
                 return runServed(spec, width, depth, params, reqs8,
                                  grouped.outputs,
-                                 {"depth-1 batch-8", true, true, 1, 0});
+                                 {"depth-1 batch-8", true, 1, 0});
             },
             [&] {
                 return runServed(spec, width, 1, params, reqs1,
                                  grouped.outputs,
-                                 {"depth-8 batch-1", true, true, depth, 0});
+                                 {"depth-8 batch-1", true, depth, 0});
             },
         });
         const Row &wide = ab[0];
@@ -450,20 +422,20 @@ main()
                     return runServed(
                         spec, width, depth, params, reqs8,
                         grouped.outputs,
-                        {std::string("depth-1 batch-8 ") + link, true,
-                         true, 1, rtt_us});
+                        {std::string("depth-1 batch-8 ") + link, true, 1,
+                         rtt_us});
                 },
                 [&] {
                     return runServed(
                         spec, width, 1, params, reqs1, grouped.outputs,
                         {std::string("depth-8 batch-1 ") + link, true,
-                         true, depth, rtt_us});
+                         depth, rtt_us});
                 },
                 [&] {
                     return runServed(
                         spec, width, 1, params, reqs1, seq1.outputs,
-                        {std::string("depth-1 batch-1 ") + link, true,
-                         true, 1, rtt_us});
+                        {std::string("depth-1 batch-1 ") + link, true, 1,
+                         rtt_us});
                 },
             });
             const Row &lwide = lab[0];
@@ -493,36 +465,16 @@ main()
                 sentinels_ok = false;
             }
 
-            // PR 8 A/B on the LAN link: the ripple baseline and the
-            // streaming ladder through the same depth-8 window. The
-            // outputs are mode- and schedule-independent (invariant
-            // 16), so the grouped reference covers all three.
+            // The streaming window on the LAN link: outputs are
+            // schedule-independent (invariant 16), so the grouped
+            // reference covers it.
             if (std::string(link) == "LAN") {
-                const Row rdeep = runServed(
-                    spec, width, 1, params, reqs1, grouped.outputs,
-                    {std::string("depth-8 ripple ") + link, true, true,
-                     depth, rtt_us, 0, /*ladder=*/false});
                 const Row sdeep = runServed(
                     spec, width, 1, params, reqs1, grouped.outputs,
                     {std::string("depth-8 streaming ") + link, true,
-                     true, depth, rtt_us, 0, /*ladder=*/true,
-                     /*stream=*/true});
-                for (const Row *row : {&rdeep, &sdeep}) {
-                    emitRow(json, spec.name, images, *row);
-                    all_identical &= row->bitIdentical;
-                }
-                // The tentpole sentinel: the Kogge-Stone ladder cuts
-                // the measured width-32 round chain to a quarter of
-                // the ripple's, per image, on the same window.
-                if (ldeep.onlineRoundsPerImage >
-                    rdeep.onlineRoundsPerImage / 4.0) {
-                    std::printf(
-                        "BENCH-SMOKE: FAIL — ladder %.2f rounds/img "
-                        "above ripple %.2f / 4 at w32\n",
-                        ldeep.onlineRoundsPerImage,
-                        rdeep.onlineRoundsPerImage);
-                    sentinels_ok = false;
-                }
+                     depth, rtt_us, 0, /*stream=*/true});
+                emitRow(json, spec.name, images, sdeep);
+                all_identical &= sdeep.bitIdentical;
             }
         }
     }
@@ -558,25 +510,29 @@ main()
         printHeader();
         const Row shaped = runServed(
             spec, width, wan_batch, params, reqs, local.outputs,
-            {"served+reservoir shaped", true, true, 1, rtt_us, bps});
+            {"served+reservoir shaped", true, 1, rtt_us, bps});
         emitRow(json, spec.name, wan_requests * size_t(wan_batch),
                 shaped);
         all_identical &= shaped.bitIdentical;
 
-        // PR 8: the same images again through a full-depth streaming
-        // ladder window — every round-chain trick at once on the
-        // shaped link. One group of wan_requests, so the grouped
-        // reference is the one concatenated request.
+        // The same images again through a full-depth streaming window
+        // — every round-chain trick at once on the shaped link. One
+        // group of wan_requests, so the grouped reference is the one
+        // concatenated request. Its throughput gates the full-mode
+        // floor below, so it is a median of kSentinelReps runs.
         const uint16_t wdepth = uint16_t(wan_requests);
         std::vector<int64_t> cat;
         for (const auto &r : reqs)
             cat.insert(cat.end(), r.begin(), r.end());
         const ppml::LocalMlpResult glocal = ppml::runLocalMlpInference(
             spec, width, {cat}, kShareSeed, kSetupSeed, params);
-        const Row deep = runServed(
-            spec, width, wan_batch, params, reqs, glocal.outputs,
-            {"served+reservoir shaped deep+stream", true, true, wdepth,
-             rtt_us, bps, /*ladder=*/true, /*stream=*/true});
+        const Row deep = interleavedMedians({[&] {
+            return runServed(spec, width, wan_batch, params, reqs,
+                             glocal.outputs,
+                             {"served+reservoir shaped deep+stream",
+                              true, wdepth, rtt_us, bps,
+                              /*stream=*/true});
+        }})[0];
         emitRow(json, spec.name, wan_requests * size_t(wan_batch),
                 deep);
         all_identical &= deep.bitIdentical;
@@ -584,8 +540,8 @@ main()
         // PR 7 protocol served 6.2 img/s here; ladder + pipelining +
         // streaming must clear 3x that.
         if (!fast && deep.imagesPerSec < 3.0 * 6.2) {
-            std::printf("BENCH-SMOKE: FAIL — WAN deep+stream %.1f "
-                        "img/s under the 18.6 floor (3x the PR 7 "
+            std::printf("BENCH-SMOKE: FAIL — WAN deep+stream median "
+                        "%.1f img/s under the 18.6 floor (3x the PR 7 "
                         "row)\n",
                         deep.imagesPerSec);
             sentinels_ok = false;
@@ -677,8 +633,8 @@ main()
                     "violated (see above)\n");
         return 1;
     }
-    std::printf("\nBENCH-SMOKE: OK — bit-identity, packing ratios, "
-                "byte ceiling and pipelining sentinels all hold "
+    std::printf("\nBENCH-SMOKE: OK — bit-identity, byte ceiling and "
+                "pipelining sentinels all hold "
                 "(BENCH_infer_e2e.json written)\n");
     return 0;
 }

@@ -10,8 +10,6 @@
  *   ./infer_client --tcp ... --cot-tcp ... --depth 8    # pipelined
  *   ./infer_client --tcp ... --cot-tcp ... --depth auto # RTT-tuned
  *   ./infer_client --tcp ... --cot-tcp ... --stream     # streaming
- *   ./infer_client --tcp ... --cot-tcp ... --ripple     # A/B baseline
- *   ./infer_client --tcp ... --cot-tcp ... --unpacked   # PR 5 wire
  *
  * Default supply is the reservoir: the client opens two sessions of
  * opposite roles on the server's COT service and stocks them in the
@@ -104,12 +102,8 @@ main(int argc, char **argv)
                 opt.depthAuto = true;
             else
                 opt.depth = uint16_t(std::atoi(d.c_str()));
-        } else if (arg == "--ripple") {
-            opt.ladderCmp = false;
         } else if (arg == "--stream") {
             opt.streamCommit = true;
-        } else if (arg == "--unpacked") {
-            opt.packedWire = false;
         } else if (arg == "--chaos") {
             // Survive a restarting server: reconnect under backoff and
             // resubmit uncommitted requests, narrating every retry.
@@ -134,7 +128,7 @@ main(int argc, char **argv)
                 "usage: infer_client --tcp HOST:PORT "
                 "[--cot-tcp HOST:PORT] [--model NAME] [--width W] "
                 "[--batch B] [--images N] [--supply engine|reservoir] "
-                "[--depth D|auto] [--stream] [--ripple] [--unpacked] "
+                "[--depth D|auto] [--stream] "
                 "[--seed S] [--chaos] [--trace FILE]\n");
             return 2;
         }
@@ -176,18 +170,14 @@ main(int argc, char **argv)
         return 1;
     }
     std::printf("infer_client: session %llu, %s, width %u, batch %u, "
-                "supply %s, depth %u%s, %s wire, %s comparison%s "
-                "(%llu COTs/image/direction)\n",
+                "supply %s, depth %u%s%s (%llu COTs/image/direction)\n",
                 (unsigned long long)client->sessionId(),
                 spec->name.c_str(), opt.width, opt.batch,
                 supplyKindName(client->supply()),
                 client->negotiatedDepth(),
                 opt.depthAuto ? " (auto)" : "",
-                client->packedWire() ? "packed" : "unpacked",
-                ppml::cmpModeName(client->comparisonMode()),
                 client->streaming() ? ", streaming commits" : "",
-                (unsigned long long)spec->cotsPerImage(
-                    opt.width, client->comparisonMode()));
+                (unsigned long long)spec->cotsPerImage(opt.width));
     if (opt.depthAuto)
         std::printf("infer_client: measured handshake RTT %llu us\n",
                     (unsigned long long)client->measuredRttUs());

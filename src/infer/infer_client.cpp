@@ -69,8 +69,6 @@ InferClient::InferClient(std::unique_ptr<net::SocketChannel> channel,
         *ch, 0, opt_.params, opt_.setupSeed, opt_.threads);
     sc = std::make_unique<ppml::SecureCompute>(*ch, 0, *engine,
                                                opt_.width);
-    sc->setWirePacking(packed_);
-    sc->setComparisonMode(comparisonMode());
     runner = std::make_unique<ppml::MlpRunner>(spec_, opt_.width);
 }
 
@@ -95,8 +93,6 @@ InferClient::InferClient(std::unique_ptr<net::SocketChannel> channel,
     handshake();
     sc = std::make_unique<ppml::SecureCompute>(*ch, 0, *reservoirSupply,
                                                opt_.width);
-    sc->setWirePacking(packed_);
-    sc->setComparisonMode(comparisonMode());
     runner = std::make_unique<ppml::MlpRunner>(spec_, opt_.width);
 }
 
@@ -105,17 +101,13 @@ InferClient::buildReservoirs()
 {
     // Stock sized from the model's COT estimate: keep one commit
     // group's worth of correlations ahead per direction. Sized from
-    // the REQUESTED depth and comparison mode (reservoirs exist
-    // before the handshake can negotiate) — the server may clamp or
-    // refuse either, which only leaves the stock oversized, never
-    // starved.
+    // the REQUESTED depth (reservoirs exist before the handshake can
+    // negotiate) — the server may clamp it, which only leaves the
+    // stock oversized, never starved.
     const uint64_t group =
         opt_.depthAuto ? 64 : (opt_.depth > 0 ? opt_.depth : 1);
     const uint64_t per_commit =
-        spec_.cotsPerImage(opt_.width,
-                           opt_.ladderCmp ? ppml::CmpMode::Ladder
-                                          : ppml::CmpMode::Ripple) *
-        opt_.batch * group;
+        spec_.cotsPerImage(opt_.width) * opt_.batch * group;
     const svc::Reservoir::Options res_opt =
         svc::Reservoir::Options::sizedFor(per_commit,
                                           sendSession->usableOts());
@@ -138,7 +130,6 @@ InferClient::handshake()
             std::to_string(spec_.minWidth) + ", " +
             std::to_string(spec_.maxWidth) + "]");
     InferHello h;
-    h.version = opt_.wireVersion;
     h.supply = opt_.supply;
     h.modelId = opt_.modelId;
     h.width = uint8_t(opt_.width);
@@ -149,11 +140,8 @@ InferClient::handshake()
     h.depth = opt_.depthAuto
                   ? uint16_t(64)
                   : (opt_.depth > 0 ? opt_.depth : uint16_t(1));
-    h.flags =
-        uint16_t((opt_.packedWire ? kInferFlagPackedWire : 0) |
-                 (opt_.ladderCmp ? kInferFlagLadderCmp : 0) |
-                 (opt_.streamCommit ? kInferFlagStreamCommit : 0) |
-                 (opt_.traceWire ? kInferFlagTrace : 0));
+    h.flags = uint16_t((opt_.streamCommit ? kInferFlagStreamCommit : 0) |
+                       (opt_.traceWire ? kInferFlagTrace : 0));
     if (opt_.traceWire) {
         // One id per dial (a reconnect is a new timeline segment);
         // both parties' spans correlate under it in the merged export.
@@ -184,46 +172,33 @@ InferClient::handshake()
             std::string("InferClient: server rejected hello: ") +
                 inferStatusName(a.status));
     sid = a.sessionId;
-    // Adopt the server's negotiation (it only ever clamps); a v1
-    // dialect pins the PR 5 wire regardless of what we asked for.
-    if (opt_.wireVersion >= 2) {
-        depth_ = a.depth > 0 ? a.depth : uint16_t(1);
-        packed_ = (a.flags & kInferFlagPackedWire) != 0;
-        ladder_ = (a.flags & kInferFlagLadderCmp) != 0;
-        stream_ = (a.flags & kInferFlagStreamCommit) != 0;
-        traceOn_ = (a.flags & kInferFlagTrace) != 0;
-        if (traceOn_) {
-            clockOffsetUs_ = int64_t(a.serverClockUs) -
-                             int64_t((t0_us + t1_us) / 2);
-            trace::setContext(traceId_, opt_.traceSampled);
-            trace::setPeerClockOffsetUs(clockOffsetUs_);
-            trace::instant("handshake", "infer", 0, rttUs_);
-        } else {
-            traceId_ = 0;
-        }
-        if (opt_.depthAuto) {
-            // One commit group costs group_rounds dependent round
-            // trips no matter how many requests ride in it; pick the
-            // depth whose per-request share of that latency meets the
-            // budget. A loopback link lands at depth 1-2, a WAN pins
-            // the negotiated ceiling.
-            const uint64_t group_rounds =
-                uint64_t(spec_.dims.size() - 2) *
-                ppml::reluRounds(opt_.width, comparisonMode());
-            const uint64_t budget =
-                opt_.depthBudgetUs > 0 ? opt_.depthBudgetUs : 1;
-            uint64_t tuned =
-                (group_rounds * rttUs_ + budget - 1) / budget;
-            tuned = std::clamp<uint64_t>(tuned, 1, depth_);
-            depth_ = uint16_t(tuned);
-        }
+    // Adopt the server's negotiation (it only ever clamps).
+    depth_ = a.depth > 0 ? a.depth : uint16_t(1);
+    stream_ = (a.flags & kInferFlagStreamCommit) != 0;
+    traceOn_ = (a.flags & kInferFlagTrace) != 0;
+    if (traceOn_) {
+        clockOffsetUs_ =
+            int64_t(a.serverClockUs) - int64_t((t0_us + t1_us) / 2);
+        trace::setContext(traceId_, opt_.traceSampled);
+        trace::setPeerClockOffsetUs(clockOffsetUs_);
+        trace::instant("handshake", "infer", 0, rttUs_);
     } else {
-        depth_ = 1;
-        packed_ = false;
-        ladder_ = false;
-        stream_ = false;
-        traceOn_ = false;
         traceId_ = 0;
+    }
+    if (opt_.depthAuto) {
+        // One commit group costs group_rounds dependent round trips
+        // no matter how many requests ride in it; pick the depth
+        // whose per-request share of that latency meets the budget.
+        // A loopback link lands at depth 1-2, a WAN pins the
+        // negotiated ceiling.
+        const uint64_t group_rounds =
+            uint64_t(spec_.dims.size() - 2) *
+            ppml::reluRounds(opt_.width, ppml::CmpMode::Ladder);
+        const uint64_t budget =
+            opt_.depthBudgetUs > 0 ? opt_.depthBudgetUs : 1;
+        uint64_t tuned = (group_rounds * rttUs_ + budget - 1) / budget;
+        tuned = std::clamp<uint64_t>(tuned, 1, depth_);
+        depth_ = uint16_t(tuned);
     }
 }
 
@@ -301,8 +276,8 @@ InferClient::~InferClient()
 bool
 InferClient::canRecover(const std::exception &e) const
 {
-    return opt_.autoReconnect && opt_.wireVersion >= 2 &&
-           endpointsKnown_ && !dead_ && net::isRetryable(e);
+    return opt_.autoReconnect && endpointsKnown_ && !dead_ &&
+           net::isRetryable(e);
 }
 
 void
@@ -331,8 +306,6 @@ InferClient::redial()
         sc = std::make_unique<ppml::SecureCompute>(
             *ch, 0, *reservoirSupply, opt_.width);
     }
-    sc->setWirePacking(packed_);
-    sc->setComparisonMode(comparisonMode());
     runner = std::make_unique<ppml::MlpRunner>(spec_, opt_.width);
 }
 
@@ -396,11 +369,8 @@ InferClient::resubmitPending()
     for (size_t r = 0; r < pendingTags.size(); ++r) {
         sendInferOp(*ch, InferOp::Infer);
         sendInferTag(*ch, pendingTags[r]);
-        const uint64_t *src = pendingX1.data() + r * req_in;
-        if (packed_)
-            sendShareVectorPacked(*ch, src, req_in, opt_.width);
-        else
-            sendShareVector(*ch, src, req_in);
+        sendShareVectorPacked(*ch, pendingX1.data() + r * req_in,
+                              req_in, opt_.width);
     }
 }
 
@@ -457,33 +427,13 @@ InferClient::submit(const std::vector<int64_t> &inputs)
     // The tape advances exactly once per submission, reconnect or not.
     ppml::shareMlpValues(shareRng, opt_.width, inputs, &x0, &x1);
 
-    if (opt_.wireVersion < 2) {
-        // PR 5 dialect: evaluate immediately, park the result so the
-        // issue/drain call shape works against a v1 session too.
-        sendInferOp(*ch, InferOp::Infer);
-        sendShareVector(*ch, x1.data(), x1.size());
-        const std::vector<uint64_t> y0 = runner->forward(*sc, *ch, x0);
-        y1.resize(size_t(opt_.batch) * spec_.outputDim());
-        recvShareVector(*ch, y1.data(), y1.size());
-        ++requests;
-        Result r{tag, ppml::reconstructMlpValues(opt_.width, y0, y1)};
-        r.latencyUs = metrics::nowUs() - t0_us;
-        requestLatency().record(r.latencyUs);
-        ready.push_back(std::move(r));
-        return tag;
-    }
-
     for (;;) {
         try {
             trace::Span submit_span("submit", "infer", tag,
                                     x1.size() * sizeof(uint64_t));
             sendInferOp(*ch, InferOp::Infer);
             sendInferTag(*ch, tag);
-            if (packed_)
-                sendShareVectorPacked(*ch, x1.data(), x1.size(),
-                                      opt_.width);
-            else
-                sendShareVector(*ch, x1.data(), x1.size());
+            sendShareVectorPacked(*ch, x1.data(), x1.size(), opt_.width);
             break;
         } catch (const std::exception &e) {
             if (!canRecover(e))
@@ -552,11 +502,7 @@ InferClient::commitGroup(size_t group)
             const uint32_t tag = recvInferTag(*ch);
             IRONMAN_CHECK(tag == pendingTags[r],
                           "response tags must follow submission order");
-            if (packed_)
-                recvShareVectorPacked(*ch, y1.data(), req_out,
-                                      opt_.width);
-            else
-                recvShareVector(*ch, y1.data(), req_out);
+            recvShareVectorPacked(*ch, y1.data(), req_out, opt_.width);
             std::copy(y0cat.begin() + r * req_out,
                       y0cat.begin() + (r + 1) * req_out, y0.begin());
             Result res{tag,

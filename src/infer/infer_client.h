@@ -8,17 +8,16 @@
  * share, drive the layered GMW evaluation in lockstep over the same
  * socket, receive the server's output share, reconstruct.
  *
- * v2 adds request-level pipelining: submit() enqueues up to the
- * negotiated depth of tagged requests WITHOUT waiting for results;
+ * Requests are pipelined: submit() enqueues up to the negotiated
+ * depth of tagged requests WITHOUT waiting for results;
  * collect()/drain() trigger the joint evaluation (one Commit, one
  * MlpRunner::forward over the concatenated shares) and reconstruct
- * the responses in submission order. infer() stays the one-shot
- * convenience (submit + collect) and is bit-identical to PR 5 for a
- * depth-1 session. NOTE: a depth-k group is evaluated as ONE forward
- * with effective batch k * batch, so its shares follow the GROUPED
- * tweak sequence — bit-identical to runLocalMlpInference over the
- * concatenated requests, while dense share-local truncation may
- * differ from k sequential calls within mlpTruncationErrorBound.
+ * the responses in submission order. infer() is the one-shot
+ * convenience (submit + collect). NOTE: a depth-k group is evaluated
+ * as ONE forward with effective batch k * batch, so its shares follow
+ * the GROUPED tweak sequence — bit-identical to runLocalMlpInference
+ * over the concatenated requests, while dense share-local truncation
+ * may differ from k sequential calls within mlpTruncationErrorBound.
  *
  * Supply kinds (the handshake's SupplyKind):
  *
@@ -77,23 +76,13 @@ class InferClient
         /** Engine supply: engine worker width. */
         int threads = 1;
         /**
-         * Requested in-flight requests per session (v2); the server
+         * Requested in-flight requests per session; the server
          * clamps to its own bound — read negotiatedDepth() after
          * construction. submit() auto-commits at the negotiated depth.
          */
         uint16_t depth = 1;
-        /** Request width-packed online payloads (v2, default on). */
-        bool packedWire = true;
         /**
-         * Request the Kogge-Stone comparison ladder (v2, default on).
-         * The server echoes the honored flag; against a v1 dialect
-         * the session degrades to the ripple baseline, and the
-         * reconstructed outputs are bit-identical either way
-         * (DESIGN.md invariant 16).
-         */
-        bool ladderCmp = true;
-        /**
-         * Streaming commits (v2, default off): submit() keeps up to
+         * Streaming commits (default off): submit() keeps up to
          * 2x the negotiated depth in flight and commits the OLDEST
          * depth-sized group, so that group's evaluation overlaps the
          * next group's Infer frames crossing the wire. Grouping
@@ -113,13 +102,7 @@ class InferClient
         /** Auto-depth: per-request share of group latency (us). */
         uint64_t depthBudgetUs = 500;
         /**
-         * Dialect to speak. kInferWireVersionV1 pins the PR 5 protocol
-         * (depth 1, unpacked, untagged) against any server — the
-         * mixed-version compatibility knob tests exercise.
-         */
-        uint16_t wireVersion = kInferWireVersion;
-        /**
-         * Request wire-propagated trace context (v2, default off):
+         * Request wire-propagated trace context (default off):
          * the hello carries a 64-bit trace id + sampled bit
          * (kInferFlagTrace) so both parties' span recorders correlate
          * under one id, and the accept returns the server's clock
@@ -148,8 +131,8 @@ class InferClient
          * Commit was already on the wire are NOT retried (the server
          * may have evaluated them; re-running could answer twice) —
          * they surface as Result{ok=false} with the triggering error.
-         * Requires a connectTcp* factory (it records the endpoints)
-         * and a v2 session. Off by default: a bench run would rather
+         * Requires a connectTcp* factory (it records the endpoints).
+         * Off by default: a bench run would rather
          * die loudly than silently remeasure a reconnect.
          */
         bool autoReconnect = false;
@@ -228,9 +211,7 @@ class InferClient
      * Pipelined issue half: share @p inputs, ship the server's share
      * tagged, and return immediately (unless this submission fills the
      * negotiated depth, which triggers the commit inline). Responses
-     * come back through collect()/drain() in submission order. On a
-     * v1 session this degrades to an immediate infer() whose result
-     * is parked for collect().
+     * come back through collect()/drain() in submission order.
      */
     uint32_t submit(const std::vector<int64_t> &inputs);
 
@@ -252,18 +233,8 @@ class InferClient
     uint64_t sessionId() const { return sid; }
     SupplyKind supply() const { return opt_.supply; }
 
-    /** Server-clamped in-flight bound (1 on a v1 session). */
+    /** Server-clamped (and auto-tuned) in-flight bound. */
     uint16_t negotiatedDepth() const { return depth_; }
-
-    /** Whether the session's online payloads travel width-packed. */
-    bool packedWire() const { return packed_; }
-
-    /** Negotiated comparison circuit (Ripple on v1 sessions). */
-    ppml::CmpMode
-    comparisonMode() const
-    {
-        return ladder_ ? ppml::CmpMode::Ladder : ppml::CmpMode::Ripple;
-    }
 
     /** Whether counted streaming commits were negotiated. */
     bool streaming() const { return stream_; }
@@ -339,8 +310,6 @@ class InferClient
     bool endpointsKnown_ = false;
     uint64_t reconnectCount = 0;
     uint16_t depth_ = 1; ///< negotiated (and auto-tuned) group size
-    bool packed_ = false; ///< negotiated wire packing
-    bool ladder_ = false; ///< negotiated Kogge-Stone comparison
     bool stream_ = false; ///< negotiated streaming commits
     uint64_t rttUs_ = 0;  ///< handshake RTT of the current dial
     bool traceOn_ = false;     ///< negotiated trace context

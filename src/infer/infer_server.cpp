@@ -155,27 +155,24 @@ InferServer::serveSession(net::SocketChannel &ch, uint64_t sid)
         // Negotiate: clamp the requested depth to this server's bound
         // and echo the honored flags (recvInferHello already dropped
         // unknown bits). hello carries the NEGOTIATED values from
-        // here on; v1 peers pin depth 1 / unpacked by construction.
+        // here on.
         InferAccept accept;
         accept.status = st;
         accept.sessionId = sid;
-        if (hello.version >= 2) {
-            const uint16_t bound =
-                cfg_.maxDepth > 0 ? cfg_.maxDepth : uint16_t(1);
-            if (hello.depth > bound)
-                hello.depth = bound;
-            accept.depth = hello.depth;
-            accept.flags = hello.flags;
-            if (hello.flags & kInferFlagTrace) {
-                // Adopt the wire context for every span this session
-                // thread records, and stamp the accept with our clock
-                // so the client can estimate the cross-party offset
-                // from the RTT midpoint it measures anyway.
-                trace::setContext(hello.traceId,
-                                  hello.traceSampled != 0);
-                trace::setThreadLabel("infer-session");
-                accept.serverClockUs = trace::nowUs();
-            }
+        const uint16_t bound =
+            cfg_.maxDepth > 0 ? cfg_.maxDepth : uint16_t(1);
+        if (hello.depth > bound)
+            hello.depth = bound;
+        accept.depth = hello.depth;
+        accept.flags = hello.flags;
+        if (hello.flags & kInferFlagTrace) {
+            // Adopt the wire context for every span this session
+            // thread records, and stamp the accept with our clock so
+            // the client can estimate the cross-party offset from the
+            // RTT midpoint it measures anyway.
+            trace::setContext(hello.traceId, hello.traceSampled != 0);
+            trace::setThreadLabel("infer-session");
+            accept.serverClockUs = trace::nowUs();
         }
         sendInferAccept(ch, accept);
         ch.flush();
@@ -250,18 +247,7 @@ InferServer::runSession(net::SocketChannel &ch, uint64_t sid,
             hello.sendSessionId, hello.recvSessionId};
 
     ppml::SecureCompute sc(ch, 1, *supply, width);
-    const bool packed =
-        hello.version >= 2 && (hello.flags & kInferFlagPackedWire);
-    sc.setWirePacking(packed);
-    // Flags 0 (v1 peers, or v2 without the flag) = ripple: both ends
-    // must run the same carry circuit, and absent-flag must degrade to
-    // the baseline dialect.
-    sc.setComparisonMode(hello.version >= 2 &&
-                                 (hello.flags & kInferFlagLadderCmp)
-                             ? ppml::CmpMode::Ladder
-                             : ppml::CmpMode::Ripple);
-    const bool stream =
-        hello.version >= 2 && (hello.flags & kInferFlagStreamCommit);
+    const bool stream = (hello.flags & kInferFlagStreamCommit) != 0;
     ppml::MlpRunner runner(spec, width);
 
     const size_t req_in = size_t(hello.batch) * spec.inputDim();
@@ -288,31 +274,7 @@ InferServer::runSession(net::SocketChannel &ch, uint64_t sid,
         }
     };
 
-    if (hello.version < 2) {
-        // PR 5 dialect: one untagged request per round trip.
-        std::vector<uint64_t> x1(req_in);
-        for (;;) {
-            const InferOp op = recvInferOp(ch);
-            fr.note("op", uint32_t(op));
-            if (op != InferOp::Infer)
-                break;
-            const uint64_t t0_us = metrics::nowUs();
-            recvShareVector(ch, x1.data(), x1.size());
-            const std::vector<uint64_t> y1 =
-                runner.forward(sc, ch, x1);
-            sendShareVector(ch, y1.data(), y1.size());
-            ch.flush();
-            fr.note("infer", 0, req_out * sizeof(uint64_t));
-            im.commitUs.recordSinceUs(t0_us);
-            im.groupSize.record(1);
-            im.windowOccupancy.record(1);
-            account(1);
-        }
-        (void)sid;
-        return;
-    }
-
-    // v2: tagged requests enqueue up to the negotiated depth; Commit
+    // Tagged requests enqueue up to the negotiated depth; Commit
     // evaluates a group as ONE forward (effective batch = group *
     // batch — same lockstep call the client makes), then answers per
     // request in submission order. With streaming negotiated the
@@ -323,8 +285,7 @@ InferServer::runSession(net::SocketChannel &ch, uint64_t sid,
     // fill/drain loop leaves on the table.
     const size_t recvAhead = stream ? 2 * size_t(hello.depth)
                                     : size_t(hello.depth);
-    const bool traced =
-        hello.version >= 2 && (hello.flags & kInferFlagTrace);
+    const bool traced = (hello.flags & kInferFlagTrace) != 0;
     const uint64_t sess_t0_us = trace::nowUs();
     std::vector<uint32_t> tags;
     std::vector<uint64_t> x1cat; // pending inputs, concatenated
@@ -340,11 +301,8 @@ InferServer::runSession(net::SocketChannel &ch, uint64_t sid,
                     "infer session: in-flight depth exceeded");
             tags.push_back(recvInferTag(ch));
             x1cat.resize(x1cat.size() + req_in);
-            uint64_t *dst = x1cat.data() + x1cat.size() - req_in;
-            if (packed)
-                recvShareVectorPacked(ch, dst, req_in, width);
-            else
-                recvShareVector(ch, dst, req_in);
+            recvShareVectorPacked(ch, x1cat.data() + x1cat.size() - req_in,
+                                  req_in, width);
             fr.note("infer", tags.back(), req_in * sizeof(uint64_t));
             trace::instant("recv_infer", "infer", tags.back(),
                            req_in * sizeof(uint64_t));
@@ -371,11 +329,8 @@ InferServer::runSession(net::SocketChannel &ch, uint64_t sid,
                 runner.forward(sc, ch, xgroup);
             for (size_t r = 0; r < group; ++r) {
                 sendInferTag(ch, tags[r]);
-                const uint64_t *src = y1cat.data() + r * req_out;
-                if (packed)
-                    sendShareVectorPacked(ch, src, req_out, width);
-                else
-                    sendShareVector(ch, src, req_out);
+                sendShareVectorPacked(ch, y1cat.data() + r * req_out,
+                                      req_out, width);
             }
             ch.flush();
             commit_span.setArg(group * req_out * sizeof(uint64_t));

@@ -4,14 +4,13 @@
  *
  * InferServer accepts inference sessions over real sockets (loopback/
  * remote TCP or Unix-domain), negotiates model/bitwidth/batch/supply
- * plus wire packing and in-flight depth via the infer/wire.h
- * handshake, and then plays the second GMW party of ppml::MlpRunner
- * over the session's net::SocketChannel — the first subsystem where
- * the ONLINE protocol, not just correlation generation, crosses the
- * wire. v2 sessions enqueue up to the negotiated depth of tagged
- * requests and evaluate them as ONE joint forward on Commit, so the
- * DReLU round latency is paid per group instead of per request; v1
- * peers get the PR 5 one-at-a-time protocol unchanged.
+ * plus in-flight depth via the infer/wire.h handshake, and then
+ * plays the second GMW party of ppml::MlpRunner over the session's
+ * net::SocketChannel — the first subsystem where the ONLINE protocol,
+ * not just correlation generation, crosses the wire. Sessions enqueue
+ * up to the negotiated depth of tagged requests and evaluate them as
+ * ONE joint forward on Commit, so the DReLU round latency is paid per
+ * group instead of per request.
  *
  * Concurrency model is net::SessionServer's (shared with CotServer):
  * one accept loop plus one joined (never detached) thread per active
@@ -59,7 +58,7 @@ class InferServer
         size_t maxSessions = 8; ///< concurrent inference sessions
         uint32_t maxBatch = 256; ///< images per request bound
         /**
-         * In-flight requests per v2 session; a hello asking for more
+         * In-flight requests per session; a hello asking for more
          * is clamped (negotiated down in the accept), never rejected.
          */
         uint16_t maxDepth = 32;

@@ -17,29 +17,25 @@ using net::putU64;
 
 namespace {
 
-// v1 hello body (after the 6-byte magic+version prefix):
+// Hello body (after the 6-byte magic+version prefix):
 // supply(1) width(1) modelId(4) batch(4) setupSeed(8) sendSid(8)
 // recvSid(8)
 // params: prg(1) pad(3) n(8) k(8) t(8) lpnSeed(8) arity(4) weight(4)
+// depth(2) flags(2)
 constexpr size_t kInferHelloPrefixBytes = 4 + 2;
-constexpr size_t kInferHelloV1BodyBytes =
-    1 + 1 + 4 + 4 + 3 * 8 + (1 + 3 + 4 * 8 + 2 * 4);
-// v2 body appends depth(2) flags(2).
-constexpr size_t kInferHelloV2BodyBytes = kInferHelloV1BodyBytes + 2 + 2;
+constexpr size_t kInferHelloBodyBytes =
+    1 + 1 + 4 + 4 + 3 * 8 + (1 + 3 + 4 * 8 + 2 * 4) + 2 + 2;
 // kInferFlagTrace trailer: traceId(8) sampled(1), present exactly when
-// the hello's flag word carries the bit — so flagless transcripts stay
-// byte-identical and the fixed-size body parse stays version-driven.
+// the hello's flag word carries the bit — so flagless transcripts
+// carry no trace bytes and the fixed-size body parse stays simple.
 constexpr size_t kInferHelloTraceBytes = 8 + 1;
-// status(1) pad(1) depth(2) flags(2) pad(2) sessionId(8) — depth and
-// flags live in bytes that were pad in v1, so one codec serves both.
+// status(1) pad(1) depth(2) flags(2) pad(2) sessionId(8)
 constexpr size_t kInferAcceptBytes = 1 + 1 + 2 + 2 + 2 + 8;
 // Accept trailer when the echoed flags carry kInferFlagTrace: the
 // server's monotonic clock sample (8), the clock-offset anchor.
 constexpr size_t kInferAcceptTraceBytes = 8;
 
-constexpr uint16_t kKnownFlags = kInferFlagPackedWire |
-                                 kInferFlagLadderCmp |
-                                 kInferFlagStreamCommit | kInferFlagTrace;
+constexpr uint16_t kKnownFlags = kInferFlagStreamCommit | kInferFlagTrace;
 
 size_t
 putHelloBody(uint8_t *p, const InferHello &h)
@@ -71,16 +67,14 @@ putHelloBody(uint8_t *p, const InferHello &h)
     p += 4;
     putU32(p, h.params.lpnWeight);
     p += 4;
-    if (h.version >= 2) {
-        putU16(p, h.depth);
-        p += 2;
-        putU16(p, h.flags);
-        p += 2;
-        if (h.flags & kInferFlagTrace) {
-            putU64(p, h.traceId);
-            p += 8;
-            *p++ = h.traceSampled ? 1 : 0;
-        }
+    putU16(p, h.depth);
+    p += 2;
+    putU16(p, h.flags);
+    p += 2;
+    if (h.flags & kInferFlagTrace) {
+        putU64(p, h.traceId);
+        p += 8;
+        *p++ = h.traceSampled ? 1 : 0;
     }
     return size_t(p - base);
 }
@@ -114,16 +108,11 @@ getHelloBody(const uint8_t *p, InferHello *out)
     p += 4;
     out->params.lpnWeight = getU32(p);
     p += 4;
-    if (out->version >= 2) {
-        out->depth = getU16(p);
-        p += 2;
-        // Unknown flag bits are dropped (forward compatibility), not
-        // rejected: a newer client degrades to what we both speak.
-        out->flags = getU16(p) & kKnownFlags;
-    } else {
-        out->depth = 1;
-        out->flags = 0;
-    }
+    out->depth = getU16(p);
+    p += 2;
+    // Unknown flag bits are dropped (forward compatibility), not
+    // rejected: a newer client degrades to what we both speak.
+    out->flags = getU16(p) & kKnownFlags;
 }
 
 } // namespace
@@ -157,7 +146,7 @@ inferStatusName(InferStatus s)
 void
 sendInferHello(net::Channel &ch, const InferHello &h)
 {
-    uint8_t buf[kInferHelloPrefixBytes + kInferHelloV2BodyBytes +
+    uint8_t buf[kInferHelloPrefixBytes + kInferHelloBodyBytes +
                 kInferHelloTraceBytes] = {};
     putU32(buf, kInferMagic);
     putU16(buf + 4, h.version);
@@ -168,24 +157,22 @@ sendInferHello(net::Channel &ch, const InferHello &h)
 InferStatus
 recvInferHello(net::Channel &ch, InferHello *out)
 {
-    // Magic + version first; the rest is parsed in the hello's own
-    // dialect, so a v1 peer can be served without renegotiation.
+    // Magic + version first: another version's body may be laid out
+    // differently, so it is refused before the body is read.
     uint8_t prefix[kInferHelloPrefixBytes];
     ch.recvBytes(prefix, sizeof(prefix));
     if (getU32(prefix) != kInferMagic)
         return InferStatus::BadMagic;
     out->version = getU16(prefix + 4);
-    if (out->version != kInferWireVersionV1 &&
-        out->version != kInferWireVersion)
+    if (out->version != kInferWireVersion)
         return InferStatus::BadVersion;
 
-    uint8_t body[kInferHelloV2BodyBytes];
-    ch.recvBytes(body, out->version >= 2 ? kInferHelloV2BodyBytes
-                                         : kInferHelloV1BodyBytes);
+    uint8_t body[kInferHelloBodyBytes];
+    ch.recvBytes(body, sizeof(body));
     if (uint8_t(body[0]) > uint8_t(SupplyKind::Reservoir))
         return InferStatus::BadSupply;
     getHelloBody(body, out);
-    if (out->version >= 2 && (out->flags & kInferFlagTrace)) {
+    if (out->flags & kInferFlagTrace) {
         // The trace trailer travels iff the flag bit is set, so both
         // ends agree on the body length without a second negotiation.
         uint8_t trailer[kInferHelloTraceBytes];
@@ -296,34 +283,6 @@ recvCommitCount(net::Channel &ch)
     uint8_t buf[2];
     ch.recvBytes(buf, sizeof(buf));
     return getU16(buf);
-}
-
-void
-sendShareVector(net::Channel &ch, const uint64_t *shares, size_t n)
-{
-    uint8_t buf[512];
-    while (n > 0) {
-        const size_t chunk = n < sizeof(buf) / 8 ? n : sizeof(buf) / 8;
-        for (size_t i = 0; i < chunk; ++i)
-            putU64(buf + 8 * i, shares[i]);
-        ch.sendBytes(buf, 8 * chunk);
-        shares += chunk;
-        n -= chunk;
-    }
-}
-
-void
-recvShareVector(net::Channel &ch, uint64_t *shares, size_t n)
-{
-    uint8_t buf[512];
-    while (n > 0) {
-        const size_t chunk = n < sizeof(buf) / 8 ? n : sizeof(buf) / 8;
-        ch.recvBytes(buf, 8 * chunk);
-        for (size_t i = 0; i < chunk; ++i)
-            shares[i] = getU64(buf + 8 * i);
-        shares += chunk;
-        n -= chunk;
-    }
 }
 
 void

@@ -3,12 +3,11 @@
  * Wire protocol of the inference service (src/infer): the handshake
  * that negotiates WHAT to compute (a ppml::MlpModelSpec by wire id,
  * the fixed-point bitwidth, the images-per-request batch size, and
- * where the COT correlations come from) and HOW the online bytes
- * travel (width-packed or legacy Block-wide lanes, and how many
- * requests may ride in flight), plus the length-framed
- * request/response opcodes that carry secret-shared tensors.
+ * where the COT correlations come from) and how many requests may
+ * ride in flight, plus the length-framed request/response opcodes
+ * that carry secret-shared tensors.
  *
- * Version 2 session, client's (= MPC party 0's) view:
+ * Session, client's (= MPC party 0's) view:
  *
  *   connect ──► InferHello { magic, version, supply, model, width,
  *                            batch, setupSeed, cot session ids,
@@ -31,40 +30,24 @@
  *               batch*outputDim output shares (the server's y1)
  *   final:  ──► InferOp::Close
  *
- * Streaming commits (kInferFlagStreamCommit, v2): Commit carries a
- * u16 group COUNT and evaluates only the OLDEST count pending
- * requests, and the server accepts Infer frames for up to 2x the
- * negotiated depth — so the client can push group k+1's frames while
- * group k's forward is still evaluating, keeping the channel busy
- * during compute. Without the flag Commit has no count byte and
- * drains everything pending (the PR 6 wire, unchanged).
- *
- * Version negotiation: the server reads the 6-byte magic+version
- * prefix first and parses the rest in the hello's dialect; it replies
- * and serves in that dialect too. A v1 peer therefore negotiates
- * depth 1, unpacked wire, untagged immediate evaluation — exactly the
- * PR 5 protocol — against a v2 server. Version 3 is the v2 dialect
- * byte for byte; only its Engine-supply FERRET transcripts carry
- * kept-prefix SPCOT values, so "v2" below names the dialect and v2
- * peers themselves are refused.
- *
- * Flags (v2): kInferFlagPackedWire switches every online payload to
- * semantic width — chosen-OT lanes via SecureCompute::setWirePacking
+ * There is one dialect. Every online payload travels at semantic
+ * width — chosen-OT lanes through ot::chosenOtSendPacked/RecvPacked
  * (1-bit AND messages, width-bit MUX arms, raw derand bytes) and the
- * tensor shares below as width-bit LE lanes. The unmasked SHARES are
- * bit-identical either way (DESIGN.md invariant 14); packing is a
- * transcript property, negotiated so both ends agree.
- * kInferFlagLadderCmp selects the Kogge-Stone comparison ladder
- * (SecureCompute::setComparisonMode) — both ends must run the same
- * carry circuit, so it is negotiated exactly like packing; a v2 peer
- * that doesn't set it (or a v1 peer, flags 0) gets the ripple, and
- * the reconstructed outputs are identical either way (DESIGN.md
- * invariant 16). kInferFlagStreamCommit enables counted partial
- * commits (above). The server clamps the requested depth to its own
- * bound and echoes the result in the accept; unknown flag bits are
- * dropped, not rejected.
+ * tensor shares below as width-bit LE lanes — and every DReLU runs
+ * the Kogge-Stone ladder (ppml::CmpMode::Ladder). Any other version
+ * number is refused with BadVersion.
  *
- * Supply negotiation is unchanged from v1 (see SupplyKind).
+ * Flags negotiate only scheduling and observability, never the
+ * transcript of a single forward. kInferFlagStreamCommit: Commit
+ * carries a u16 group COUNT and evaluates only the OLDEST count
+ * pending requests, and the server accepts Infer frames for up to 2x
+ * the negotiated depth — so the client can push group k+1's frames
+ * while group k's forward is still evaluating. Without the flag
+ * Commit has no count and drains everything pending.
+ * kInferFlagTrace: see below. The server clamps the requested depth
+ * to its own bound and echoes the result in the accept; unknown flag
+ * bits (including the retired 0x1 packing and 0x2 ladder bits) are
+ * dropped, not rejected.
  */
 
 #ifndef IRONMAN_INFER_WIRE_H
@@ -79,17 +62,14 @@
 namespace ironman::infer {
 
 constexpr uint32_t kInferMagic = 0x49524946; ///< "IRIF"
-/// 3: the v2 dialect with kept-prefix GGM trees in its Engine-supply
-/// FERRET engines (same bytes, different SPCOT values), so a v2 peer is
-/// refused. v1 keeps its number: v1 peers must be built from the same
-/// tree (DESIGN.md §4).
-constexpr uint16_t kInferWireVersion = 3;
-constexpr uint16_t kInferWireVersionV1 = 1; ///< PR 5 dialect, still served
+/**
+ * 4: packed shares and the comparison ladder are no longer negotiated.
+ * Earlier versions are refused: v3 peers may still clear the retired
+ * packing/ladder bits, and v1/v2 peers run full-tree SPCOT engines
+ * (DESIGN.md §4).
+ */
+constexpr uint16_t kInferWireVersion = 4;
 
-/** Hello/accept flag bits (v2). */
-constexpr uint16_t kInferFlagPackedWire = 0x1;
-/** Kogge-Stone comparison ladder (unset = ripple baseline). */
-constexpr uint16_t kInferFlagLadderCmp = 0x2;
 /** Counted partial commits + 2x-depth recv-ahead (streaming). */
 constexpr uint16_t kInferFlagStreamCommit = 0x4;
 /**
@@ -98,8 +78,8 @@ constexpr uint16_t kInferFlagStreamCommit = 0x4;
  * server's monotonic clock sample (the client pairs it with the
  * hello->accept RTT midpoint for the cross-party clock-offset
  * estimate — see common/trace.h). Both trailers exist ONLY when this
- * bit is set on the respective message, so v1 peers and flagless v2
- * transcripts are byte-identical to the PR 8 wire.
+ * bit is set on the respective message, so flagless transcripts carry
+ * no trace bytes at all.
  */
 constexpr uint16_t kInferFlagTrace = 0x8;
 
@@ -121,9 +101,9 @@ const char *supplyKindName(SupplyKind k);
 /** Per-request opcodes (client to server). */
 enum class InferOp : uint8_t
 {
-    Infer = 1,  ///< one batch: input shares in (v2: tagged, enqueued)
+    Infer = 1,  ///< one batch: tagged input shares, enqueued
     Close = 2,  ///< end the session
-    Commit = 3, ///< v2: jointly evaluate every pending request
+    Commit = 3, ///< jointly evaluate the pending requests
 };
 
 /** Handshake outcome (server to client). */
@@ -141,7 +121,7 @@ enum class InferStatus : uint8_t
     ParamsNotAllowed = 8,
     /** Reservoir sids unknown, ended, or owned by another client. */
     ForeignSession = 9,
-    BadDepth = 10, ///< v2 hello with zero in-flight depth
+    BadDepth = 10, ///< hello with zero in-flight depth
 };
 
 const char *inferStatusName(InferStatus s);
@@ -162,24 +142,24 @@ struct InferHello
     uint64_t recvSessionId = 0;
     /** Engine supply: the OT parameter set (ignored for Reservoir). */
     svc::WireParams params;
-    /** v2: requested in-flight requests per session (server clamps). */
+    /** Requested in-flight requests per session (server clamps). */
     uint16_t depth = 1;
-    /** v2: requested wire properties (kInferFlag*). */
-    uint16_t flags = kInferFlagPackedWire;
-    /** v2 + kInferFlagTrace: the Dapper-style trace id this session's
+    /** Requested session properties (kInferFlag*). */
+    uint16_t flags = 0;
+    /** kInferFlagTrace: the Dapper-style trace id this session's
      * spans correlate under on both parties (0 = let the client pick). */
     uint64_t traceId = 0;
-    /** v2 + kInferFlagTrace: whether the chain is sampled (servers
+    /** kInferFlagTrace: whether the chain is sampled (servers
      * adopt the bit; unsampled sessions negotiate but record nothing). */
     uint8_t traceSampled = 1;
 };
 
-/** Server's reply (depth/flags meaningful only for v2 hellos). */
+/** Server's reply. */
 struct InferAccept
 {
     InferStatus status = InferStatus::Ok;
     uint16_t depth = 0; ///< negotiated in-flight bound
-    uint16_t flags = 0; ///< negotiated wire properties
+    uint16_t flags = 0; ///< negotiated session properties
     uint64_t sessionId = 0;
     /** kInferFlagTrace only: the server's trace::nowUs() sample taken
      * while sending this accept — the client's clock-offset anchor. */
@@ -189,17 +169,17 @@ struct InferAccept
 void sendInferHello(net::Channel &ch, const InferHello &h);
 
 /**
- * Parse the peer's hello in its own dialect (v1 hellos surface with
- * depth 1, flags 0). Returns Ok and fills @p out, or the structural
- * rejection (magic/version/model/width/batch/params/depth); policy
+ * Parse the peer's hello. Returns Ok and fills @p out, or the
+ * structural rejection (magic/version/model/width/batch/params/depth);
+ * a BadVersion return has read only the magic+version prefix. Policy
  * rejections (maxBatch, depth clamp, missing COT service) are the
  * server's to add.
  */
 InferStatus recvInferHello(net::Channel &ch, InferHello *out);
 
 /**
- * The accept codec is version-stable: status and sessionId sit where
- * v1 put them, depth/flags occupy former pad bytes v1 peers ignore.
+ * The accept layout is shared by every version, so a refused peer of
+ * any version can read its BadVersion status.
  */
 void sendInferAccept(net::Channel &ch, const InferAccept &a);
 InferAccept recvInferAccept(net::Channel &ch);
@@ -207,7 +187,7 @@ InferAccept recvInferAccept(net::Channel &ch);
 void sendInferOp(net::Channel &ch, InferOp op);
 InferOp recvInferOp(net::Channel &ch);
 
-/** v2 request/response tag. */
+/** Request/response tag. */
 void sendInferTag(net::Channel &ch, uint32_t tag);
 uint32_t recvInferTag(net::Channel &ch);
 
@@ -217,11 +197,6 @@ uint32_t recvInferTag(net::Channel &ch);
  */
 void sendCommitCount(net::Channel &ch, uint16_t count);
 uint16_t recvCommitCount(net::Channel &ch);
-
-/** One secret-shared tensor, explicit-LE u64 per element (v1 wire). */
-void sendShareVector(net::Channel &ch, const uint64_t *shares,
-                     size_t n);
-void recvShareVector(net::Channel &ch, uint64_t *shares, size_t n);
 
 /**
  * Width-packed tensor: n width-bit LSB-first lanes, ceil(n*width/8)

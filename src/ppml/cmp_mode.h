@@ -4,9 +4,9 @@
  *
  * Both SecureCompute (the protocol) and MlpModelSpec (reservoir
  * sizing, the estimator) need the per-mode AND-gate and round counts,
- * and the inference handshake ships the mode as a wire flag — so the
- * enum and the closed-form cost helpers live in this tiny header
- * instead of dragging secure_compute.h into model_zoo.h.
+ * so the enum and the closed-form cost helpers live in this tiny
+ * header instead of dragging secure_compute.h into model_zoo.h. The
+ * inference service always runs the ladder.
  *
  * The trade (DESIGN.md round-complexity table): the Kogge–Stone
  * ladder pays ~4x the AND-gate COTs (offline, reservoir-refillable)
@@ -28,7 +28,7 @@ enum class CmpMode : uint8_t
     /**
      * Sequential ripple: one batched generate pre-round, then one
      * AND round per bit position. (width-1)+1 rounds, 2(width-1)
-     * AND gates per element. The A/B baseline.
+     * AND gates per element. The in-process reference.
      */
     Ripple = 0,
     /**

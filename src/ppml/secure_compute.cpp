@@ -29,13 +29,8 @@ SecureCompute::otSendBatch(const std::vector<Block> &m0,
     uint64_t tw = tweak;
     tweak += n;
     const Block *q = engine->takeSend(n);
-    if (packedWire)
-        ot::chosenOtSendPacked(ch, crhf, m0.data(), m1.data(), n,
-                               wire_width, engine->sendDelta(), q, tw,
-                               otScratch);
-    else
-        ot::chosenOtSend(ch, crhf, m0.data(), m1.data(), n,
-                         engine->sendDelta(), q, tw, otScratch);
+    ot::chosenOtSendPacked(ch, crhf, m0.data(), m1.data(), n, wire_width,
+                           engine->sendDelta(), q, tw, otScratch);
 }
 
 std::vector<Block>
@@ -50,12 +45,8 @@ SecureCompute::otRecvBatch(const BitVec &choices, unsigned wire_width)
     size_t b_offset;
     const Block *t;
     engine->takeRecv(n, &b, &b_offset, &t);
-    if (packedWire)
-        ot::chosenOtRecvPacked(ch, crhf, choices, *b, b_offset, t, n,
-                               wire_width, out.data(), tw, otScratch);
-    else
-        ot::chosenOtRecv(ch, crhf, choices, *b, b_offset, t, n,
-                         out.data(), tw, otScratch);
+    ot::chosenOtRecvPacked(ch, crhf, choices, *b, b_offset, t, n,
+                           wire_width, out.data(), tw, otScratch);
     return out;
 }
 

@@ -12,7 +12,7 @@
  *     unified sender/receiver architecture, Sec. 5.2),
  *   - DReLU: the sign bit of an additively shared fixed-point value,
  *     via a Kogge–Stone carry-prefix ladder (log-depth, the default)
- *     or a sequential ripple carry (the A/B baseline) — see
+ *     or a sequential ripple carry (the in-process reference) — see
  *     ppml/cmp_mode.h for the round/gate trade,
  *   - MUX and ReLU on additive shares (2 COTs per element),
  *   - max-pool style pairwise maximum.
@@ -118,24 +118,11 @@ class SecureCompute
     }
 
     /**
-     * Width-aware wire packing (default ON): chosen-OT traffic ships
-     * at each op's semantic width — 1-bit lanes for AND-gate messages,
-     * bitwidth-bit lanes for MUX arms, raw derand bytes — instead of
-     * full 16-byte Blocks. The pads stay full-Block CRHF hashes, so
-     * the decoded SHARES are bit-identical either way (DESIGN.md
-     * invariant 14); only the transcript changes. Both parties must
-     * agree (it is a wire format): flip it before the first op, in
-     * lockstep — the inference handshake negotiates exactly this.
-     */
-    void setWirePacking(bool on) { packedWire = on; }
-    bool wirePacking() const { return packedWire; }
-
-    /**
      * Comparison circuit for drelu/relu (default Ladder). Both
      * parties must agree BEFORE the first comparison — the modes
      * consume different COT counts and interleave different AND
-     * batches, so it is protocol state like wire packing, negotiated
-     * by the inference handshake (infer/wire.h kInferFlagLadderCmp).
+     * batches. The inference service always runs the ladder; the
+     * ripple is the in-process reference it is tested against.
      */
     void setComparisonMode(CmpMode m) { cmpMode = m; }
     CmpMode comparisonMode() const { return cmpMode; }
@@ -157,9 +144,10 @@ class SecureCompute
 
   private:
     /**
-     * One batched chosen-OT where this party is the sender.
-     * @p wire_width is the semantic payload width the packed codec
-     * ships (ignored when packing is off).
+     * One batched chosen-OT where this party is the sender. Every
+     * message ships at its semantic width @p wire_width (1-bit AND
+     * lanes, bitwidth-bit MUX arms); the pads stay full-Block CRHF
+     * hashes, so truncation commutes with the XOR unmasking.
      */
     void otSendBatch(const std::vector<Block> &m0,
                      const std::vector<Block> &m1, unsigned wire_width);
@@ -179,7 +167,6 @@ class SecureCompute
     int party;
     CotSupply *engine = nullptr;
     unsigned width;
-    bool packedWire = true;
     CmpMode cmpMode = CmpMode::Ladder;
     unsigned rounds = 0;
     crypto::Crhf crhf;

@@ -2,7 +2,9 @@
  * @file
  * Chosen 1-of-2 OT from COT: the receiver always decodes m_c and the
  * untaken ciphertext never decodes to the other message under the
- * receiver's pad (invariant 6 of DESIGN.md).
+ * receiver's pad (invariant 6 of DESIGN.md); the width-packed codec
+ * decodes the Block codec's messages truncated to the wire width
+ * (invariant 14).
  */
 
 #include <gtest/gtest.h>
@@ -81,6 +83,59 @@ TEST(ChosenOtTest, UntakenMessageStaysMasked)
         Block pad_other =
             crhf.hash(cot_s.q[i] ^ scalarMul(!b, delta), i);
         EXPECT_NE(pad_recv, pad_other) << "i=" << i;
+    }
+}
+
+TEST(ChosenOtTest, PackedDecodesEqualBlockCodecLowBits)
+{
+    // Both codecs hash the same full-Block pads; the packed one ships
+    // only wire_width bits of each masked message. n = 77 leaves a
+    // partial last byte in both the lane and the derand encodings.
+    const size_t n = 77;
+    for (const unsigned w : {1u, 8u, 13u, 32u, 64u}) {
+        Rng rng(40 + w);
+        const Block delta = rng.nextBlock();
+        auto [cot_s, cot_r] = dealBaseCots(rng, delta, n);
+        const std::vector<Block> m0 = rng.nextBlocks(n);
+        const std::vector<Block> m1 = rng.nextBlocks(n);
+        const BitVec choices = rng.nextBits(n);
+
+        crypto::Crhf crhf;
+        auto decode = [&](bool packed) {
+            std::vector<Block> out(n);
+            net::runTwoParty(
+                [&](net::Channel &ch) {
+                    ChosenOtScratch scratch;
+                    if (packed)
+                        chosenOtSendPacked(ch, crhf, m0.data(), m1.data(),
+                                           n, w, delta, cot_s.q.data(),
+                                           500, scratch);
+                    else
+                        chosenOtSend(ch, crhf, m0.data(), m1.data(), n,
+                                     delta, cot_s.q.data(), 500, scratch);
+                },
+                [&](net::Channel &ch) {
+                    ChosenOtScratch scratch;
+                    if (packed)
+                        chosenOtRecvPacked(ch, crhf, choices,
+                                           cot_r.choice, 0,
+                                           cot_r.t.data(), n, w,
+                                           out.data(), 500, scratch);
+                    else
+                        chosenOtRecv(ch, crhf, choices, cot_r.choice, 0,
+                                     cot_r.t.data(), n, out.data(), 500,
+                                     scratch);
+                });
+            return out;
+        };
+        const std::vector<Block> block_out = decode(false);
+        const std::vector<Block> packed_out = decode(true);
+        const uint64_t mask =
+            w == 64 ? ~uint64_t(0) : (uint64_t(1) << w) - 1;
+        for (size_t i = 0; i < n; ++i)
+            EXPECT_EQ(packed_out[i],
+                      Block::fromUint64(block_out[i].lo & mask))
+                << "w" << w << " i=" << i;
     }
 }
 

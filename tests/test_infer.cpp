@@ -4,7 +4,9 @@
  * src/svc):
  *
  *  - infer wire handshake round trips and rejects structurally bad
- *    hellos (magic, model, width, batch, params, session ids);
+ *    hellos (magic, version, model, width, batch, params, session
+ *    ids); a server refuses every pre-v4 hello and then serves a v4
+ *    session bit-exactly;
  *  - THE acceptance criterion: served inference over loopback TCP
  *    reconstructs outputs BIT-IDENTICAL to the in-process
  *    MlpRunner/FerretCotEngine path (ppml::runLocalMlpInference) for
@@ -59,7 +61,9 @@ TEST(InferWireTest, HelloAcceptRoundTrip)
     h.sendSessionId = 11;
     h.recvSessionId = 12;
     h.depth = 6;
-    h.flags = kInferFlagPackedWire | 0x8000; // unknown bit: dropped
+    // Unknown bits are dropped, the retired v3 packing (0x1) and
+    // ladder (0x2) bits among them.
+    h.flags = kInferFlagStreamCommit | 0x8000 | 0x2 | 0x1;
     sendInferHello(duplex.a(), h);
 
     InferHello got;
@@ -72,40 +76,19 @@ TEST(InferWireTest, HelloAcceptRoundTrip)
     EXPECT_EQ(got.sendSessionId, h.sendSessionId);
     EXPECT_EQ(got.recvSessionId, h.recvSessionId);
     EXPECT_EQ(got.depth, 6);
-    EXPECT_EQ(got.flags, kInferFlagPackedWire);
+    EXPECT_EQ(got.flags, kInferFlagStreamCommit);
 
     InferAccept reply;
     reply.status = InferStatus::Ok;
     reply.depth = 6;
-    reply.flags = kInferFlagPackedWire;
+    reply.flags = kInferFlagStreamCommit;
     reply.sessionId = 99;
     sendInferAccept(duplex.b(), reply);
     const InferAccept a = recvInferAccept(duplex.a());
     EXPECT_EQ(a.status, InferStatus::Ok);
     EXPECT_EQ(a.depth, 6);
-    EXPECT_EQ(a.flags, kInferFlagPackedWire);
+    EXPECT_EQ(a.flags, kInferFlagStreamCommit);
     EXPECT_EQ(a.sessionId, 99u);
-}
-
-TEST(InferWireTest, V1HelloSurfacesAsDepthOneUnpacked)
-{
-    net::MemoryDuplex duplex;
-    InferHello h;
-    h.version = kInferWireVersionV1;
-    h.modelId = ppml::inferenceZoo().front().id;
-    h.width = 32;
-    h.batch = 2;
-    h.supply = SupplyKind::Engine;
-    h.params = svc::WireParams::of(ot::tinyTestParams());
-    h.depth = 9; // v1 body has no room for these: must not leak
-    h.flags = kInferFlagPackedWire;
-    sendInferHello(duplex.a(), h);
-
-    InferHello got;
-    ASSERT_EQ(recvInferHello(duplex.b(), &got), InferStatus::Ok);
-    EXPECT_EQ(got.version, kInferWireVersionV1);
-    EXPECT_EQ(got.depth, 1);
-    EXPECT_EQ(got.flags, 0);
 }
 
 TEST(InferWireTest, RejectsStructurallyBadHellos)
@@ -129,11 +112,9 @@ TEST(InferWireTest, RejectsStructurallyBadHellos)
     reject([](InferHello &h) { h.width = 63; }, InferStatus::BadWidth);
     reject([](InferHello &h) { h.batch = 0; }, InferStatus::BadBatch);
     reject([](InferHello &h) { h.depth = 0; }, InferStatus::BadDepth);
-    reject([](InferHello &h) { h.version = 7; },
-           InferStatus::BadVersion);
-    // v2 differs from v3 only in its engines' full-tree SPCOT values.
-    reject([](InferHello &h) { h.version = 2; },
-           InferStatus::BadVersion);
+    for (const uint16_t version : {1, 2, 3, 5, 7})
+        reject([version](InferHello &h) { h.version = version; },
+               InferStatus::BadVersion);
     reject([](InferHello &h) { h.params.k = h.params.n; },
            InferStatus::BadParams);
     reject(
@@ -326,6 +307,47 @@ TEST(InferServiceTest, ConcurrentMixedSupplySessions)
     server.stop();
     cot.stop();
     EXPECT_EQ(server.sessionsServed(), uint64_t(kClients));
+}
+
+TEST(InferServiceTest, OlderVersionsRefusedThenV4ServedBitExactly)
+{
+    InferServer server;
+    const uint16_t port = server.listenTcp(0);
+    const MlpModelSpec &spec = *ppml::findMlpModel("mlp-16x8x4");
+
+    // v1 (the PR 5 dialect), v2 (full-tree SPCOT engines) and v3
+    // (negotiated packing and comparison) are refused on the prefix.
+    for (const uint16_t version : {1, 2, 3}) {
+        auto ch = net::tcpConnect("127.0.0.1", port);
+        InferHello h;
+        h.version = version;
+        h.supply = SupplyKind::Engine;
+        h.modelId = spec.id;
+        h.width = 32;
+        h.batch = kBatch;
+        h.setupSeed = kSetupSeed;
+        h.params = svc::WireParams::of(ot::tinyTestParams());
+        h.flags = 0x1 | 0x2; // a v3 client's packed + ladder request
+        sendInferHello(*ch, h);
+        ch->flush();
+        EXPECT_EQ(recvInferAccept(*ch).status, InferStatus::BadVersion)
+            << "v" << version;
+    }
+
+    // The refusals leave the server serving: a v4 session reconstructs
+    // the in-process reference to the bit.
+    InferClient::Options opt;
+    opt.modelId = spec.id;
+    opt.width = 32;
+    opt.batch = kBatch;
+    opt.setupSeed = kSetupSeed;
+    opt.shareSeed = kShareSeed;
+    auto client = InferClient::connectTcp("127.0.0.1", port, opt);
+    expectServedMatchesLocal(*client, spec, 32);
+    client->close();
+    server.stop();
+    EXPECT_EQ(server.sessionsRejected(), 3u);
+    EXPECT_EQ(server.sessionsServed(), 1u);
 }
 
 // ---------------------------------------------------------------------------

@@ -3,16 +3,14 @@
  * PR 6 service-layer guarantees: width-packed online wire and
  * request-level pipelining.
  *
- *  - Packed and unpacked sessions reconstruct IDENTICAL outputs, both
- *    equal to the in-process reference (DESIGN.md invariant 14), with
- *    the packed transcript several times smaller.
+ *  - Served sessions (width-packed wire) reconstruct outputs equal to
+ *    the in-process reference (DESIGN.md invariant 14), widths 8-32,
+ *    both supply kinds.
  *  - A depth-k pipelined session equals the GROUPED local reference —
  *    runLocalMlpInference over the concatenated requests — bit for
  *    bit. (Grouping changes the mask-tape tweak sequence, so the
  *    per-request sequential reference only agrees within the dense
  *    truncation bound; on the fracBits-0 zoo entry both are exact.)
- *  - A v1 client against the v2 server negotiates depth 1 / unpacked
- *    and reproduces the PR 5 transcript unchanged.
  *  - Malformed or protocol-violating byte streams reject cleanly and
  *    never poison the server for the next well-formed session.
  */
@@ -60,8 +58,7 @@ concatRequests(const std::vector<std::vector<int64_t>> &reqs)
 }
 
 // ---------------------------------------------------------------------------
-// Invariant 14: packed and unpacked transcripts decode to the same
-// shares
+// Invariant 14: the packed transcript decodes to the local reference
 // ---------------------------------------------------------------------------
 
 struct PackGridPoint
@@ -77,7 +74,7 @@ constexpr PackGridPoint kPackGrid[] = {
     {"mlp-16x8x4", 32},
 };
 
-TEST(InferPackingTest, PackedAndUnpackedBitIdenticalToLocal)
+TEST(InferPackingTest, PackedBitIdenticalToLocal)
 {
     InferServer server;
     const uint16_t port = server.listenTcp(0);
@@ -91,45 +88,22 @@ TEST(InferPackingTest, PackedAndUnpackedBitIdenticalToLocal)
             spec, g.width, reqs, kShareSeed, kSetupSeed,
             ot::tinyTestParams());
 
-        uint64_t bytes_packed = 0, bytes_unpacked = 0;
-        for (const bool packed : {true, false}) {
-            InferClient::Options opt;
-            opt.modelId = spec.id;
-            opt.width = g.width;
-            opt.batch = kBatch;
-            opt.setupSeed = kSetupSeed;
-            opt.shareSeed = kShareSeed;
-            opt.packedWire = packed;
-            auto client =
-                InferClient::connectTcp("127.0.0.1", port, opt);
-            ASSERT_EQ(client->packedWire(), packed);
-            // Engine-supply preprocessing (handshake + primed
-            // extensions) rides this channel too and is identical for
-            // both runs; measure the ONLINE traffic from here.
-            const uint64_t base = client->onlineBytesSent() +
-                                  client->onlineBytesReceived();
-            for (int r = 0; r < kCount; ++r) {
-                const std::vector<int64_t> served =
-                    client->infer(reqs[r]);
-                // The whole point: packing is a TRANSCRIPT property,
-                // not a semantic one.
-                ASSERT_EQ(served, local.outputs[r])
-                    << spec.name << " w" << g.width << " packed "
-                    << packed << " request " << r;
-            }
-            const uint64_t bytes = client->onlineBytesSent() +
-                                   client->onlineBytesReceived() - base;
-            (packed ? bytes_packed : bytes_unpacked) = bytes;
-            client->close();
-        }
-        // The headline ratio (engine handshake/extension bytes ride
-        // in both numbers, so the pure online ratio is higher still).
-        EXPECT_GE(bytes_unpacked, 4 * bytes_packed)
-            << spec.name << " w" << g.width;
+        InferClient::Options opt;
+        opt.modelId = spec.id;
+        opt.width = g.width;
+        opt.batch = kBatch;
+        opt.setupSeed = kSetupSeed;
+        opt.shareSeed = kShareSeed;
+        auto client = InferClient::connectTcp("127.0.0.1", port, opt);
+        for (int r = 0; r < kCount; ++r)
+            // Packing is a TRANSCRIPT property, not a semantic one.
+            ASSERT_EQ(client->infer(reqs[r]), local.outputs[r])
+                << spec.name << " w" << g.width << " request " << r;
+        client->close();
     }
     server.stop();
     EXPECT_EQ(server.sessionsServed(),
-              2 * sizeof(kPackGrid) / sizeof(kPackGrid[0]));
+              sizeof(kPackGrid) / sizeof(kPackGrid[0]));
 }
 
 TEST(InferPackingTest, PackedReservoirSupplyBitIdenticalToLocal)
@@ -158,7 +132,6 @@ TEST(InferPackingTest, PackedReservoirSupplyBitIdenticalToLocal)
     opt.shareSeed = kShareSeed;
     auto client = InferClient::connectTcpReservoir(
         "127.0.0.1", port, "127.0.0.1", cot_port, opt);
-    ASSERT_TRUE(client->packedWire());
     for (size_t r = 0; r < reqs.size(); ++r)
         ASSERT_EQ(client->infer(reqs[r]), local.outputs[r]);
     client->close();
@@ -309,45 +282,6 @@ TEST(InferPipelineTest, ServerClampsRequestedDepth)
 }
 
 // ---------------------------------------------------------------------------
-// Version compatibility
-// ---------------------------------------------------------------------------
-
-TEST(InferPipelineTest, V1ClientAgainstV2ServerIsPr5Protocol)
-{
-    InferServer server;
-    const uint16_t port = server.listenTcp(0);
-    const MlpModelSpec &spec = *ppml::findMlpModel("mlp-16x8x4");
-    constexpr unsigned kWidth = 32;
-    const auto reqs = makeRequests(spec, 2, 2);
-    const ppml::LocalMlpResult local = ppml::runLocalMlpInference(
-        spec, kWidth, reqs, kShareSeed, kSetupSeed,
-        ot::tinyTestParams());
-
-    InferClient::Options opt;
-    opt.modelId = spec.id;
-    opt.width = kWidth;
-    opt.batch = 2;
-    opt.setupSeed = kSetupSeed;
-    opt.shareSeed = kShareSeed;
-    opt.wireVersion = kInferWireVersionV1;
-    opt.depth = 8;          // must be ignored on the v1 wire
-    opt.packedWire = true;  // likewise
-    auto client = InferClient::connectTcp("127.0.0.1", port, opt);
-    EXPECT_EQ(client->negotiatedDepth(), 1);
-    EXPECT_FALSE(client->packedWire());
-    // The issue/drain shape works on v1 too (immediate evaluation).
-    for (size_t r = 0; r < reqs.size(); ++r)
-        client->submit(reqs[r]);
-    const auto results = client->drain();
-    ASSERT_EQ(results.size(), reqs.size());
-    for (size_t r = 0; r < reqs.size(); ++r)
-        EXPECT_EQ(results[r].outputs, local.outputs[r]) << r;
-    client->close();
-    server.stop();
-    EXPECT_EQ(server.sessionsServed(), 1u);
-}
-
-// ---------------------------------------------------------------------------
 // Malformed-stream robustness
 // ---------------------------------------------------------------------------
 
@@ -368,7 +302,6 @@ TEST(InferPipelineTest, MalformedStreamsRejectCleanlyAndServerSurvives)
         h.setupSeed = kSetupSeed;
         h.params = svc::WireParams::of(ot::tinyTestParams());
         h.depth = 2;
-        h.flags = 0; // unpacked: raw probes below are width-agnostic
         return h;
     };
     auto expectRejected = [&](const char *what, auto send) {
@@ -433,20 +366,20 @@ TEST(InferPipelineTest, MalformedStreamsRejectCleanlyAndServerSurvives)
     // 7. A torrent of Infer ops beyond the negotiated depth; the
     // server kills the session at depth+1 without evaluating.
     probeAfterAccept("depth flood", [&](net::SocketChannel &ch) {
-        const size_t lane = spec.inputDim();
-        std::vector<uint64_t> x(lane, 1);
+        const std::vector<uint64_t> x(spec.inputDim(), 1);
         for (uint32_t r = 0; r < 8; ++r) {
             sendInferOp(ch, InferOp::Infer);
             sendInferTag(ch, r);
-            sendShareVector(ch, x.data(), x.size());
+            sendShareVectorPacked(ch, x.data(), x.size(), 8);
         }
     });
-    // 8. Truncated share vector then close.
-    probeAfterAccept("truncated shares", [](net::SocketChannel &ch) {
+    // 8. Truncated share vector then close: half of the width-8
+    // tensor's inputDim bytes.
+    probeAfterAccept("truncated shares", [&](net::SocketChannel &ch) {
         sendInferOp(ch, InferOp::Infer);
         sendInferTag(ch, 1);
-        uint8_t half[4] = {0, 0, 0, 0};
-        ch.sendBytes(half, sizeof(half));
+        const std::vector<uint8_t> half(spec.inputDim() / 2, 0);
+        ch.sendBytes(half.data(), half.size());
     });
 
     // The server must still serve a well-formed session afterwards.

@@ -354,7 +354,7 @@ TEST(RoundChainTest, MalformedStreamingCommitsKillSessionNotServer)
     const uint16_t port = server.listenTcp(0);
     const MlpModelSpec &spec = *ppml::findMlpModel("mlp-4x3x2");
 
-    // A hand-rolled streaming session that really reaches the v2 op
+    // A hand-rolled streaming session that really reaches the op
     // loop: play the hello AND the interactive engine priming, then
     // misbehave. (The raw post-accept probes in test_infer_pipeline
     // die inside engine setup instead, which never exercises the
@@ -375,7 +375,7 @@ TEST(RoundChainTest, MalformedStreamingCommitsKillSessionNotServer)
         h.setupSeed = kSetupSeed;
         h.params = svc::WireParams::of(ot::tinyTestParams());
         h.depth = 2;
-        h.flags = kInferFlagStreamCommit; // unpacked, ripple
+        h.flags = kInferFlagStreamCommit;
         sendInferHello(*s.ch, h);
         const InferAccept a = recvInferAccept(*s.ch);
         EXPECT_EQ(a.status, InferStatus::Ok);
@@ -388,7 +388,7 @@ TEST(RoundChainTest, MalformedStreamingCommitsKillSessionNotServer)
     auto sendFrame = [&](net::SocketChannel &ch, uint32_t tag) {
         sendInferOp(ch, InferOp::Infer);
         sendInferTag(ch, tag);
-        sendShareVector(ch, x.data(), x.size());
+        sendShareVectorPacked(ch, x.data(), x.size(), 8);
     };
     // The server must reject WITHOUT answering: the next read sees a
     // dead session, never a response tag.

@@ -3,10 +3,10 @@
  * Cross-party request tracing (common/trace.h + the kInferFlagTrace
  * handshake extension) and its guardrails:
  *
- *  - wire negotiation matrix: a v2 hello with the trace flag carries
+ *  - wire negotiation matrix: a hello with the trace flag carries
  *    the 64-bit id + sampled bit and the accept returns the server
- *    clock sample; v1 and flagless v2 peers exchange byte-identical
- *    transcripts with no trailers (extended invariant 17);
+ *    clock sample; flagless peers exchange byte-identical transcripts
+ *    with no trailers (extended invariant 17);
  *  - fuzzed trace ids (0, all-ones, random) neither change a single
  *    output-share bit versus the in-process reference nor kill the
  *    server — trace context is observability, never protocol input;
@@ -48,7 +48,7 @@ constexpr uint64_t kSetupSeed = 4242;
 // Wire negotiation matrix
 // ---------------------------------------------------------------------------
 
-TEST(TraceWireTest, V2HelloCarriesTraceContext)
+TEST(TraceWireTest, HelloCarriesTraceContext)
 {
     net::MemoryDuplex duplex;
     InferHello h;
@@ -80,17 +80,15 @@ TEST(TraceWireTest, V2HelloCarriesTraceContext)
     EXPECT_EQ(a.serverClockUs, 123456789u);
 }
 
-TEST(TraceWireTest, FlaglessAndV1HellosHaveNoTrailer)
+TEST(TraceWireTest, FlaglessHelloHasNoTrailer)
 {
     // Extended invariant 17: without the negotiated bit, the trace
     // fields leave NO trace on the wire — a flagless hello is
     // byte-identical whether or not the struct carries an id, so old
     // peers parse the same transcript they always did.
-    auto helloBytes = [](uint64_t trace_id, uint16_t flags,
-                         uint8_t version) {
+    auto helloBytes = [](uint64_t trace_id, uint16_t flags) {
         net::MemoryDuplex duplex;
         InferHello h;
-        h.version = version;
         h.modelId = ppml::inferenceZoo().front().id;
         h.width = 32;
         h.batch = 1;
@@ -101,19 +99,14 @@ TEST(TraceWireTest, FlaglessAndV1HellosHaveNoTrailer)
         sendInferHello(duplex.a(), h);
         return duplex.a().bytesSent();
     };
-    EXPECT_EQ(helloBytes(0, 0, kInferWireVersion),
-              helloBytes(~uint64_t(0), 0, kInferWireVersion));
-    EXPECT_EQ(helloBytes(0, 0, kInferWireVersionV1),
-              helloBytes(0x1234, 0, kInferWireVersionV1));
+    EXPECT_EQ(helloBytes(0, 0), helloBytes(~uint64_t(0), 0));
     // And the flagged hello is strictly longer: the trailer exists
     // only when negotiated.
-    EXPECT_GT(helloBytes(1, kInferFlagTrace, kInferWireVersion),
-              helloBytes(1, 0, kInferWireVersion));
+    EXPECT_GT(helloBytes(1, kInferFlagTrace), helloBytes(1, 0));
 
-    // A v1 receiver parse never surfaces trace fields.
+    // A flagless parse never surfaces trace fields.
     net::MemoryDuplex duplex;
     InferHello h;
-    h.version = kInferWireVersionV1;
     h.modelId = ppml::inferenceZoo().front().id;
     h.width = 32;
     h.batch = 1;
